@@ -1,0 +1,7 @@
+"""Make the ruber sources and the benchmark modules importable."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent.parent / "src"), str(HERE.parent)]
