@@ -17,7 +17,7 @@ import numpy as np
 from .baselines import bleu, rouge_l
 from .blending import BlendStrategy, blend_series, normalize
 from .corpus import Dataset
-from .errors import ParseError
+from .errors import NumericalError, ParseError
 from .referenced import referenced_score
 from .unreferenced import ScorerParams, unreferenced_score
 from .vocabulary import Vocabulary
@@ -79,7 +79,9 @@ def compute_score_table(
     """Score every annotated pair with every metric.
 
     The referenced and unreferenced series are min-max normalized over
-    this dataset (bounds recorded on the table) before blending.
+    this dataset (bounds recorded on the table) before blending; a
+    non-finite value in either raises
+    :class:`~ruber.errors.NumericalError`.
     """
     blends = tuple(BlendStrategy(b) for b in blends)
     ref = np.empty(len(dataset))
@@ -95,6 +97,8 @@ def compute_score_table(
         rouge[i] = rouge_l(pair.candidate, pair.groundtruth)
         humans.append(list(pair.human_scores))
 
+    _require_finite("ref_score", ref)
+    _require_finite("unref_score", unref)
     ref_norm = normalize(ref)
     unref_norm = normalize(unref)
     metrics: dict[str, np.ndarray] = {
@@ -119,6 +123,16 @@ def compute_score_table(
         },
         source=dataset.source,
     )
+
+
+def _require_finite(column: str, values: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        row = int(bad[0])
+        raise NumericalError(
+            f"{column} is non-finite ({float(values[row])!r}) at row {row + 1} "
+            f"of {values.size}; cannot normalize it"
+        )
 
 
 def write_score_table(table: ScoreTable, path) -> None:

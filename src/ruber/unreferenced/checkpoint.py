@@ -19,15 +19,16 @@ byte-stable.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..errors import CheckpointFormatError, CompatibilityError
+from ..errors import CheckpointFormatError, CompatibilityError, ConfigError
 from ..vocabulary import Vocabulary
 from .config import TrainConfig
-from .scorer import ScorerParams, zero_scorer_params
+from .scorer import ScorerParams, scorer_shapes, zero_scorer_params
 
 MAGIC = b"RUBR"
 FORMAT_VERSION = 1
@@ -107,12 +108,28 @@ def load_checkpoint(
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt config block") from exc
     try:
-        embed_dim = int(blob.pop("embed_dim"))
+        embed_dim = blob.pop("embed_dim")
         config = TrainConfig(**blob)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{path}: config block missing fields") from exc
+    _check_config(path, embed_dim, config)
 
     (vocab_hash,) = struct.unpack("<Q", reader.take(8))
+
+    # the declared shapes fix the byte length; check it before allocating
+    expected = sum(
+        4 * (1 + len(shape) + math.prod(shape))
+        for shape in scorer_shapes(embed_dim, config.hidden, config.mlp_hidden)
+    )
+    if reader.remaining() < expected:
+        raise CheckpointFormatError(
+            f"{path}: truncated (header declares {expected} tensor byte(s), "
+            f"{reader.remaining()} present)"
+        )
+    if reader.remaining() > expected:
+        raise CheckpointFormatError(
+            f"{path}: {reader.remaining() - expected} trailing byte(s)"
+        )
 
     params = zero_scorer_params(embed_dim, config.hidden, config.mlp_hidden)
     for name, arr in params.tensors():
@@ -131,8 +148,6 @@ def load_checkpoint(
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = reader.take(4 * count)
         arr[...] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(float)
-    if reader.remaining():
-        raise CheckpointFormatError(f"{path}: {reader.remaining()} trailing byte(s)")
 
     if (
         expected_vocab_hash is not None
@@ -145,6 +160,33 @@ def load_checkpoint(
             "pass the override flag to load anyway"
         )
     return Checkpoint(params=params, config=config, embed_dim=embed_dim, vocab_hash=vocab_hash)
+
+
+# JSON value types accepted for a config field, keyed by its default's type
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _is_json_type(value, kind: type) -> bool:
+    # bool is an int subclass: accept it only where a bool is declared
+    return isinstance(value, _JSON_TYPES[kind]) and isinstance(value, bool) == (kind is bool)
+
+
+def _check_config(path, embed_dim, config: TrainConfig) -> None:
+    """Reject a decoded header whose values could not have been saved."""
+    if not _is_json_type(embed_dim, int) or embed_dim < 1:
+        raise CheckpointFormatError(
+            f"{path}: embed_dim must be an integer >= 1, got {embed_dim!r}"
+        )
+    for field in fields(TrainConfig):
+        value = getattr(config, field.name)
+        if not _is_json_type(value, type(field.default)):
+            raise CheckpointFormatError(
+                f"{path}: config field {field.name} has unusable value {value!r}"
+            )
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise CheckpointFormatError(f"{path}: invalid config block: {exc}") from exc
 
 
 class _Reader:

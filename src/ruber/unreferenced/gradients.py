@@ -6,6 +6,14 @@ accumulated analytically: logistic and tanh derivatives through the MLP
 head, product rules through the bilinear match feature, and
 back-propagation through time through both directions of both GRU
 encoders.  Samples whose loss clamps to zero contribute exactly nothing.
+
+Both scores of a triple encode the same query with the same weights, so
+the query encoder runs its backward pass once per triple, on the sum of
+the two heads' query gradients.  Back-propagation through time walks the
+stacked per-step caches of :class:`~.scorer.DirectionCache`: the loop
+carries only the state gradient and records the gate and candidate
+pre-activation gradients of every step, after which each weight gradient
+is one matrix product over all steps.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ from ..errors import NumericalError
 from .config import TrainConfig
 from .scorer import (
     BiGruEncoder,
+    DirectionCache,
+    EncodeCache,
     GruParams,
     ScoreCache,
     ScorerParams,
@@ -98,8 +108,14 @@ def compute_gradients(
         loss = margin_loss(s_pos, s_neg, config.margin)
         total += loss
         if loss > 0.0:
-            _backward_score(cache_pos, -1.0, params, grads, emb_grad)
-            _backward_score(cache_neg, +1.0, params, grads, emb_grad)
+            dq_pos, dr_pos = _backward_head(cache_pos, -1.0, params, grads)
+            dq_neg, dr_neg = _backward_head(cache_neg, +1.0, params, grads)
+            _backward_encode(cache_pos.query, dq_pos + dq_neg, params.query_encoder,
+                             grads.query_encoder, emb_grad)
+            _backward_encode(cache_pos.reply, dr_pos, params.reply_encoder,
+                             grads.reply_encoder, emb_grad)
+            _backward_encode(cache_neg.reply, dr_neg, params.reply_encoder,
+                             grads.reply_encoder, emb_grad)
 
     if not math.isfinite(total):
         raise NumericalError(f"margin loss went non-finite over a batch of {len(batch)}")
@@ -112,14 +128,17 @@ def compute_gradients(
     return Gradients(scorer=grads, embeddings=emb_grad), total * scale
 
 
-def _backward_score(
+def _backward_head(
     cache: ScoreCache,
     upstream: float,
     params: ScorerParams,
     grads: ScorerParams,
-    emb_grad: np.ndarray | None,
-) -> None:
-    """Accumulate d(upstream * score)/d(params) into ``grads``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Accumulate d(upstream * score)/d(head params) into ``grads``.
+
+    Returns the gradients with respect to the query and reply sentence
+    vectors, for the encoders' backward passes.
+    """
     s = cache.score
     dz = upstream * s * (1.0 - s)          # logistic derivative
     grads.mlp_out_b += dz
@@ -136,13 +155,11 @@ def _backward_score(
     dq = dfeats[:two_h] + dquad * (params.bilinear @ rvec)
     dr = dfeats[two_h:2 * two_h] + dquad * (params.bilinear.T @ qvec)
     grads.bilinear += dquad * np.outer(qvec, rvec)
-
-    _backward_encode(cache.query, dq, params.query_encoder, grads.query_encoder, emb_grad)
-    _backward_encode(cache.reply, dr, params.reply_encoder, grads.reply_encoder, emb_grad)
+    return dq, dr
 
 
 def _backward_encode(
-    ecache,
+    ecache: EncodeCache,
     dvec: np.ndarray,
     encoder: BiGruEncoder,
     gencoder: BiGruEncoder,
@@ -150,51 +167,57 @@ def _backward_encode(
 ) -> None:
     hidden = encoder.hidden_size
     needs_dx = emb_grad is not None
-    dxs = np.zeros_like(ecache.fwd.xs) if needs_dx else None
-    _backward_direction(ecache.fwd, dvec[:hidden], encoder.forward, gencoder.forward, dxs)
-    # the backward direction consumed the reversed sequence, so its input
-    # gradients land on reversed rows
-    dxs_view = dxs[::-1] if needs_dx else None
-    _backward_direction(ecache.bwd, dvec[hidden:], encoder.backward, gencoder.backward, dxs_view)
+    dx_fwd = _backward_direction(ecache.fwd, dvec[:hidden], encoder.forward,
+                                 gencoder.forward, needs_dx)
+    dx_bwd = _backward_direction(ecache.bwd, dvec[hidden:], encoder.backward,
+                                 gencoder.backward, needs_dx)
     if needs_dx:
-        # np.add.at so repeated token ids accumulate instead of overwrite
-        np.add.at(emb_grad, ecache.ids, dxs)
+        # the backward direction consumed the reversed sequence, so its
+        # input gradients come back in reversed row order; np.add.at so
+        # repeated token ids accumulate instead of overwrite
+        np.add.at(emb_grad, ecache.ids, dx_fwd + dx_bwd[::-1])
 
 
 def _backward_direction(
-    dcache,
+    dcache: DirectionCache,
     dh_last: np.ndarray,
     p: GruParams,
     gp: GruParams,
-    dxs: np.ndarray | None,
-) -> None:
-    dh = np.array(dh_last)
-    for t in range(len(dcache.steps) - 1, -1, -1):
-        h_prev, reset, update, cand = dcache.steps[t]
-        x_t = dcache.xs[t]
+    needs_dx: bool,
+) -> np.ndarray | None:
+    """BPTT through one direction; returns the (T, d) input gradients if asked.
 
-        dcand = dh * update
-        dupdate = dh * (cand - h_prev)
-        dh_prev = dh * (1.0 - update)
-
-        dc = dcand * (1.0 - cand ** 2)
-        gp.w_cand += np.outer(dc, x_t)
-        gp.b_cand += dc
-        gp.u_cand += np.outer(dc, reset * h_prev)
+    With ``a`` the stacked reset/update gate pre-activations and ``c``
+    the candidate pre-activation, the loop records ``d_a`` (T, 2H) and
+    ``d_c`` (T, H) per step; the six weight gradients then follow from
+    one product or row sum each.
+    """
+    h_prev, reset, update = dcache.h_prev, dcache.reset, dcache.update
+    steps, hidden = h_prev.shape
+    # per-step factors that do not depend on the incoming gradient
+    keep = 1.0 - update                                   # dh_prev / dh, direct path
+    cand_gain = update * (1.0 - dcache.cand ** 2)         # dc / dh
+    update_gain = (dcache.cand - h_prev) * update * keep  # d(update pre-act) / dh
+    reset_gain = h_prev * reset * (1.0 - reset)           # d(reset pre-act) / d(reset*h)
+    d_a = np.empty((steps, 2 * hidden))
+    d_c = np.empty((steps, hidden))
+    dh = dh_last
+    for t in range(steps - 1, -1, -1):
+        dc = d_c[t]
+        da = d_a[t]
+        np.multiply(dh, cand_gain[t], out=dc)
         drh = p.u_cand.T @ dc
-        dreset = drh * h_prev
-        dh_prev = dh_prev + drh * reset
-
-        da = np.concatenate([
-            dreset * reset * (1.0 - reset),
-            dupdate * update * (1.0 - update),
-        ])
-        gp.w_gates += np.outer(da, x_t)
-        gp.b_gates += da
-        gp.u_gates += np.outer(da, h_prev)
-        dh_prev = dh_prev + p.u_gates.T @ da
-
-        if dxs is not None:
-            dxs[t] += p.w_gates.T @ da + p.w_cand.T @ dc
-        dh = dh_prev
+        np.multiply(drh, reset_gain[t], out=da[:hidden])
+        np.multiply(dh, update_gain[t], out=da[hidden:])
+        dh = dh * keep[t] + drh * reset[t] + p.u_gates.T @ da
     # the gradient w.r.t. the initial zero state is discarded
+
+    gp.w_gates += d_a.T @ dcache.xs
+    gp.u_gates += d_a.T @ h_prev
+    gp.b_gates += d_a.sum(axis=0)
+    gp.w_cand += d_c.T @ dcache.xs
+    gp.u_cand += d_c.T @ (reset * h_prev)
+    gp.b_cand += d_c.sum(axis=0)
+    if not needs_dx:
+        return None
+    return d_a @ p.w_gates + d_c @ p.w_cand

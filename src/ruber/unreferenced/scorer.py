@@ -125,25 +125,36 @@ class ScorerParams:
 
 def zero_scorer_params(embed_dim: int, hidden: int, mlp_hidden: int) -> ScorerParams:
     """All-zero parameter container (also used for gradient accumulators)."""
+    return _scorer_layout(embed_dim, hidden, mlp_hidden, np.zeros)
+
+
+def scorer_shapes(embed_dim: int, hidden: int, mlp_hidden: int) -> list[tuple[int, ...]]:
+    """Shape of every scorer tensor in declaration order, allocating nothing."""
+    layout = _scorer_layout(embed_dim, hidden, mlp_hidden, lambda shape: shape)
+    return [shape for _, shape in layout.tensors()]
+
+
+def _scorer_layout(embed_dim: int, hidden: int, mlp_hidden: int, leaf) -> ScorerParams:
+    """The tensor tree, with ``leaf(shape_tuple)`` supplying each tensor."""
 
     def gru() -> GruParams:
         return GruParams(
-            w_gates=np.zeros((2 * hidden, embed_dim)),
-            u_gates=np.zeros((2 * hidden, hidden)),
-            b_gates=np.zeros(2 * hidden),
-            w_cand=np.zeros((hidden, embed_dim)),
-            u_cand=np.zeros((hidden, hidden)),
-            b_cand=np.zeros(hidden),
+            w_gates=leaf((2 * hidden, embed_dim)),
+            u_gates=leaf((2 * hidden, hidden)),
+            b_gates=leaf((2 * hidden,)),
+            w_cand=leaf((hidden, embed_dim)),
+            u_cand=leaf((hidden, hidden)),
+            b_cand=leaf((hidden,)),
         )
 
     return ScorerParams(
         query_encoder=BiGruEncoder(gru(), gru()),
         reply_encoder=BiGruEncoder(gru(), gru()),
-        bilinear=np.zeros((2 * hidden, 2 * hidden)),
-        mlp_hidden_w=np.zeros((mlp_hidden, 4 * hidden + 1)),
-        mlp_hidden_b=np.zeros(mlp_hidden),
-        mlp_out_w=np.zeros(mlp_hidden),
-        mlp_out_b=np.zeros(()),
+        bilinear=leaf((2 * hidden, 2 * hidden)),
+        mlp_hidden_w=leaf((mlp_hidden, 4 * hidden + 1)),
+        mlp_hidden_b=leaf((mlp_hidden,)),
+        mlp_out_w=leaf((mlp_hidden,)),
+        mlp_out_b=leaf(()),
     )
 
 
@@ -202,10 +213,18 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams) -> np.ndarr
 
 @dataclass
 class DirectionCache:
-    """Per-step values of one GRU direction, in consumption order."""
+    """Per-step values of one GRU direction, stacked along the time axis.
 
-    xs: np.ndarray  # (T, d) inputs as consumed (reversed for the backward direction)
-    steps: list     # (h_prev, reset, update, cand) per step
+    Row ``t`` of every array belongs to step ``t`` in consumption order
+    (reversed for the backward direction), so backprop can form each
+    weight gradient as one matrix product over all steps.
+    """
+
+    xs: np.ndarray      # (T, d) inputs as consumed
+    h_prev: np.ndarray  # (T, H) state entering each step
+    reset: np.ndarray   # (T, H) reset gate
+    update: np.ndarray  # (T, H) update gate
+    cand: np.ndarray    # (T, H) candidate state
 
 
 @dataclass
@@ -226,25 +245,33 @@ class ScoreCache:
 
 
 def _run_direction(xs: np.ndarray, params: GruParams, collect: bool):
-    """Consume ``xs`` row by row from a zero state; return the final state.
+    """Consume ``xs`` row by row from a zero state.
 
-    Input projections for the whole sequence are batched up front; the
-    recurrent part stays a plain per-step loop.
+    Returns the final state and, when ``collect`` is set, the
+    :class:`DirectionCache` of every step (else None).  Input projections
+    for the whole sequence are batched up front; the recurrent part
+    stays a plain per-step loop.
     """
     hidden = params.hidden_size
     gate_in = xs @ params.w_gates.T + params.b_gates
     cand_in = xs @ params.w_cand.T + params.b_cand
     h = np.zeros(hidden)
-    steps = [] if collect else None
+    cache = None
+    if collect:
+        stacked = (len(xs), hidden)
+        cache = DirectionCache(xs, np.empty(stacked), np.empty(stacked),
+                               np.empty(stacked), np.empty(stacked))
     for t in range(xs.shape[0]):
         gates = 0.5 * (1.0 + np.tanh(0.5 * (gate_in[t] + params.u_gates @ h)))
         reset, update = gates[:hidden], gates[hidden:]
         cand = np.tanh(cand_in[t] + params.u_cand @ (reset * h))
-        h_new = (1.0 - update) * h + update * cand
         if collect:
-            steps.append((h, reset, update, cand))
-        h = h_new
-    return h, steps
+            cache.h_prev[t] = h
+            cache.reset[t] = reset
+            cache.update[t] = update
+            cache.cand[t] = cand
+        h = (1.0 - update) * h + update * cand
+    return h, cache
 
 
 def _encode_internal(
@@ -261,19 +288,12 @@ def _encode_internal(
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     ids = [vocab.id_of(tok) for tok in utterance[:max_len]]
     xs = matrix[ids]
-    xs_rev = xs[::-1]
-    h_fwd, steps_fwd = _run_direction(xs, encoder.forward, collect)
-    h_bwd, steps_bwd = _run_direction(xs_rev, encoder.backward, collect)
+    h_fwd, fwd = _run_direction(xs, encoder.forward, collect)
+    h_bwd, bwd = _run_direction(xs[::-1], encoder.backward, collect)
     vec = np.concatenate([h_fwd, h_bwd])
     if not collect:
         return vec, None
-    cache = EncodeCache(
-        ids=ids,
-        fwd=DirectionCache(xs, steps_fwd),
-        bwd=DirectionCache(xs_rev, steps_bwd),
-        vec=vec,
-    )
-    return vec, cache
+    return vec, EncodeCache(ids=ids, fwd=fwd, bwd=bwd, vec=vec)
 
 
 def encode(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 
 from ruber.corpus import Dataset, QueryReplyPair
@@ -65,3 +68,16 @@ def separable_corpus(rng, n_pairs=500, n_topics=20, n_fillers=10, dim=16):
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
+
+
+def rewrite_checkpoint_header(data: bytes, **changes) -> bytes:
+    """Checkpoint bytes with config-block fields replaced by ``changes``.
+
+    The magic and version (6 bytes) stay; the JSON block is re-encoded
+    and its u32 length prefix updated; the rest is kept byte for byte.
+    """
+    (blob_len,) = struct.unpack_from("<I", data, 6)
+    blob = json.loads(data[10:10 + blob_len])
+    blob.update(changes)
+    encoded = json.dumps(blob, sort_keys=True).encode("utf-8")
+    return data[:6] + struct.pack("<I", len(encoded)) + encoded + data[10 + blob_len:]

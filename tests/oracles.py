@@ -5,6 +5,8 @@ library: pure-Python scalar loops over lists, ``math.exp`` based
 logistic, dict-based n-gram counting, brute-force subsequence search,
 and mpmath extended precision for the statistics.  Agreement between
 these and the vectorized library code is what the oracle tests assert.
+The one exception is :func:`loop_compute_gradients`, a frozen copy of an
+earlier numpy implementation of the scorer's backward pass.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 
 import mpmath as mp
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +236,147 @@ def fnv1a_64(payload: bytes) -> int:
     for byte in payload:
         value = ((value ^ byte) * 1099511628211) % (1 << 64)
     return value
+
+
+# ---------------------------------------------------------------------------
+# per-step BPTT over a list-of-tuples cache
+#
+# A frozen copy of the scorer forward pass and hand-derived backward pass
+# as they stood before the stacked caches: one tuple per step, one
+# np.outer per weight tensor per step, and one query backward pass per
+# score.  The library's product-per-tensor backward pass must agree with it.
+
+
+def _loop_run_direction(xs, params):
+    hidden = params.hidden_size
+    gate_in = xs @ params.w_gates.T + params.b_gates
+    cand_in = xs @ params.w_cand.T + params.b_cand
+    h = np.zeros(hidden)
+    steps = []
+    for t in range(xs.shape[0]):
+        gates = 0.5 * (1.0 + np.tanh(0.5 * (gate_in[t] + params.u_gates @ h)))
+        reset, update = gates[:hidden], gates[hidden:]
+        cand = np.tanh(cand_in[t] + params.u_cand @ (reset * h))
+        h_new = (1.0 - update) * h + update * cand
+        steps.append((h, reset, update, cand))
+        h = h_new
+    return h, steps
+
+
+def _loop_encode(utterance, encoder, vocab, matrix, max_len):
+    ids = [vocab.id_of(tok) for tok in utterance[:max_len]]
+    xs = matrix[ids]
+    xs_rev = xs[::-1]
+    h_fwd, steps_fwd = _loop_run_direction(xs, encoder.forward)
+    h_bwd, steps_bwd = _loop_run_direction(xs_rev, encoder.backward)
+    vec = np.concatenate([h_fwd, h_bwd])
+    return dict(ids=ids, fwd=(xs, steps_fwd), bwd=(xs_rev, steps_bwd), vec=vec)
+
+
+def _loop_score(query, reply, params, vocab, matrix, max_len):
+    qcache = _loop_encode(query, params.query_encoder, vocab, matrix, max_len)
+    rcache = _loop_encode(reply, params.reply_encoder, vocab, matrix, max_len)
+    qvec, rvec = qcache["vec"], rcache["vec"]
+    quad = float(qvec @ params.bilinear @ rvec)
+    feats = np.concatenate([qvec, rvec, [quad]])
+    hidden = np.tanh(params.mlp_hidden_w @ feats + params.mlp_hidden_b)
+    z = float(params.mlp_out_w @ hidden) + float(params.mlp_out_b)
+    score = 0.5 * (1.0 + math.tanh(0.5 * z))
+    score = min(max(score, 1e-300), float(np.nextafter(1.0, 0.0)))
+    return score, dict(query=qcache, reply=rcache, feats=feats, hidden=hidden, score=score)
+
+
+def _loop_backward_direction(xs, steps, dh_last, p, gp, dxs):
+    dh = np.array(dh_last)
+    for t in range(len(steps) - 1, -1, -1):
+        h_prev, reset, update, cand = steps[t]
+        x_t = xs[t]
+
+        dcand = dh * update
+        dupdate = dh * (cand - h_prev)
+        dh_prev = dh * (1.0 - update)
+
+        dc = dcand * (1.0 - cand ** 2)
+        gp.w_cand += np.outer(dc, x_t)
+        gp.b_cand += dc
+        gp.u_cand += np.outer(dc, reset * h_prev)
+        drh = p.u_cand.T @ dc
+        dreset = drh * h_prev
+        dh_prev = dh_prev + drh * reset
+
+        da = np.concatenate([
+            dreset * reset * (1.0 - reset),
+            dupdate * update * (1.0 - update),
+        ])
+        gp.w_gates += np.outer(da, x_t)
+        gp.b_gates += da
+        gp.u_gates += np.outer(da, h_prev)
+        dh_prev = dh_prev + p.u_gates.T @ da
+
+        if dxs is not None:
+            dxs[t] += p.w_gates.T @ da + p.w_cand.T @ dc
+        dh = dh_prev
+
+
+def _loop_backward_encode(ecache, dvec, encoder, gencoder, emb_grad):
+    hidden = encoder.hidden_size
+    xs, steps_fwd = ecache["fwd"]
+    xs_rev, steps_bwd = ecache["bwd"]
+    dxs = np.zeros_like(xs) if emb_grad is not None else None
+    _loop_backward_direction(xs, steps_fwd, dvec[:hidden], encoder.forward,
+                             gencoder.forward, dxs)
+    dxs_view = dxs[::-1] if dxs is not None else None
+    _loop_backward_direction(xs_rev, steps_bwd, dvec[hidden:], encoder.backward,
+                             gencoder.backward, dxs_view)
+    if emb_grad is not None:
+        np.add.at(emb_grad, ecache["ids"], dxs)
+
+
+def _loop_backward_score(cache, upstream, params, grads, emb_grad):
+    s = cache["score"]
+    dz = upstream * s * (1.0 - s)
+    grads.mlp_out_b += dz
+    grads.mlp_out_w += dz * cache["hidden"]
+    dhidden = dz * params.mlp_out_w
+    dpre = dhidden * (1.0 - cache["hidden"] ** 2)
+    grads.mlp_hidden_b += dpre
+    grads.mlp_hidden_w += np.outer(dpre, cache["feats"])
+    dfeats = params.mlp_hidden_w.T @ dpre
+
+    qvec, rvec = cache["query"]["vec"], cache["reply"]["vec"]
+    two_h = qvec.shape[0]
+    dquad = dfeats[-1]
+    dq = dfeats[:two_h] + dquad * (params.bilinear @ rvec)
+    dr = dfeats[two_h:2 * two_h] + dquad * (params.bilinear.T @ qvec)
+    grads.bilinear += dquad * np.outer(qvec, rvec)
+
+    _loop_backward_encode(cache["query"], dq, params.query_encoder,
+                          grads.query_encoder, emb_grad)
+    _loop_backward_encode(cache["reply"], dr, params.reply_encoder,
+                          grads.reply_encoder, emb_grad)
+
+
+def loop_compute_gradients(batch, params, vocab, matrix, config):
+    """Mean margin loss gradients by per-step BPTT.
+
+    Returns ``(scorer_grads, embedding_grads_or_None, mean_loss)``.
+    """
+    grads = params.copy()
+    for _, arr in grads.tensors():
+        arr[...] = 0.0
+    emb_grad = np.zeros_like(matrix) if config.fine_tune_embeddings else None
+    total = 0.0
+    for query, pos, neg in batch:
+        s_pos, cache_pos = _loop_score(query, pos, params, vocab, matrix, config.max_len)
+        s_neg, cache_neg = _loop_score(query, neg, params, vocab, matrix, config.max_len)
+        loss = max(0.0, config.margin - s_pos + s_neg)
+        total += loss
+        if loss > 0.0:
+            _loop_backward_score(cache_pos, -1.0, params, grads, emb_grad)
+            _loop_backward_score(cache_neg, +1.0, params, grads, emb_grad)
+    scale = 1.0 / len(batch)
+    for _, arr in grads.tensors():
+        arr *= scale
+    if emb_grad is not None:
+        emb_grad *= scale
+    return grads, emb_grad, total * scale

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_scorer_params
+from conftest import random_scorer_params, rewrite_checkpoint_header
 from ruber.errors import CheckpointFormatError, CompatibilityError
+from ruber.unreferenced import checkpoint as checkpoint_mod
 from ruber.unreferenced import (
     TrainConfig,
     load_checkpoint,
@@ -126,6 +127,59 @@ class TestFormatErrors:
         open(bad, "wb").write(bytes(corrupted))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("changes", [
+        dict(hidden=-1),
+        dict(hidden=0),
+        dict(mlp_hidden=-5),
+        dict(embed_dim=0),
+        dict(embed_dim="4"),
+        dict(embed_dim=4.0),
+        dict(embed_dim=True),
+        dict(hidden=3.5),
+        dict(hidden=None),
+        dict(max_len=0),
+        dict(margin=-0.5),
+        dict(lr="fast"),
+        dict(fine_tune_embeddings=1),
+        dict(beta1=1.0),
+    ])
+    def test_invalid_header_values(self, tmp_path, changes):
+        path, data = self._saved(tmp_path)
+        bad = tmp_path / "header.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(data, **changes))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(str(bad))
+
+    def test_non_object_header(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        (blob_len,) = struct.unpack_from("<I", data, 6)
+        bad = tmp_path / "list.ckpt"
+        bad.write_bytes(data[:6] + struct.pack("<I", 2) + b"[]" + data[10 + blob_len:])
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(str(bad))
+
+    def test_integer_valued_float_fields_load(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        ok = tmp_path / "intlr.ckpt"
+        ok.write_bytes(rewrite_checkpoint_header(data, lr=1, margin=2))
+        assert load_checkpoint(str(ok)).config.lr == 1
+
+    @pytest.mark.parametrize("changes", [dict(hidden=10**6), dict(embed_dim=10**6),
+                                         dict(mlp_hidden=10**9), dict(hidden=4),
+                                         dict(hidden=2**40), dict(embed_dim=10**30)])
+    def test_declared_size_checked_before_allocating(self, tmp_path, monkeypatch, changes):
+        path, data = self._saved(tmp_path)
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(data, **changes))
+
+        def refuse(*args):
+            raise AssertionError("allocated before checking the byte length")
+
+        monkeypatch.setattr(checkpoint_mod, "zero_scorer_params", refuse)
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(str(bad))
+        assert "truncated" in str(err.value) or "trailing" in str(err.value)
 
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import separable_corpus, write_lines
+from conftest import rewrite_checkpoint_header, separable_corpus, write_lines
 from ruber.cli import main
 from ruber.embeddings import load_text_embeddings, save_text_embeddings
 from ruber.scoretable import read_score_table
@@ -211,6 +211,35 @@ class TestScore:
             "--embeddings", pipeline["emb"], "--checkpoint", str(bad),
             "--out", str(tmp_path / "x.tsv"),
         ]) == 3
+
+    @pytest.mark.parametrize("changes", [dict(hidden=-1), dict(hidden=10**6),
+                                         dict(embed_dim="8")])
+    def test_bad_checkpoint_header_exit_3(self, pipeline, tmp_path, capsys, changes):
+        bad = tmp_path / "header.ckpt"
+        with open(pipeline["ckpt"], "rb") as fh:
+            bad.write_bytes(rewrite_checkpoint_header(fh.read(), **changes))
+        assert main([
+            "score", "--data", pipeline["annotated"],
+            "--embeddings", pipeline["emb"], "--checkpoint", str(bad),
+            "--out", str(tmp_path / "x.tsv"),
+        ]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.tsv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_scores_exit_4(self, pipeline, tmp_path, capsys):
+        """Huge but finite vectors overflow the cosine into NaN."""
+        vocab, matrix = load_text_embeddings(pipeline["emb"])
+        huge = str(tmp_path / "huge.txt")
+        save_text_embeddings(vocab, np.full_like(matrix, 1e200), huge)
+        out = tmp_path / "x.tsv"
+        assert main([
+            "score", "--data", pipeline["annotated"], "--embeddings", huge,
+            "--checkpoint", pipeline["ckpt"], "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "ref_score" in err and "row 1 " in err
+        assert not out.exists()
 
 
 class TestReport:

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from conftest import random_scorer_params, random_utterance, toy_vocab_matrix
 from ruber.errors import NumericalError
-from ruber.unreferenced import TrainConfig, compute_gradients, margin_loss
+from ruber.unreferenced import (
+    TrainConfig,
+    compute_gradients,
+    margin_loss,
+    unreferenced_score,
+)
 from ruber.unreferenced.gradients import batch_loss
 
 
@@ -165,3 +171,107 @@ class TestComputeGradients:
         assert batch_loss(batch, params, vocab, matrix, config) == pytest.approx(
             loss, abs=1e-15
         )
+
+
+# ---------------------------------------------------------------------------
+# agreement with the per-step BPTT oracle
+
+ORACLE_INSTANCES = 50
+ORACLE_RTOL = 1e-12
+
+
+def _oracle_instance(index):
+    """A seeded (batch, params, vocab, matrix, config) for the loop oracle.
+
+    Instance 0 runs at the benchmark's dimensions (d=50, H=64, m=128).
+    The others draw small dimensions over a vocabulary of 3-6 tokens, so
+    token ids repeat within and across query and reply, and utterances
+    run up to three tokens past ``max_len``.  Fine-tuning alternates.
+    Every third instance uses a margin no triple satisfies; the others
+    orient each triple and pick the margin so even-indexed triples are
+    satisfied (inactive hinge) and odd-indexed ones are not.
+    """
+    rng = np.random.default_rng(7000 + index)
+    if index == 0:
+        dim, hidden, mlp, n_tokens, max_len, n_triples = 50, 64, 128, 40, 30, 3
+    else:
+        dim, hidden, mlp = (int(v) for v in rng.integers(2, 7, size=3))
+        n_tokens = int(rng.integers(3, 7))
+        max_len = int(rng.integers(2, 6))
+        n_triples = int(rng.integers(1, 5))
+    vocab, matrix = toy_vocab_matrix(rng, n_tokens=n_tokens, dim=dim)
+    params = random_scorer_params(dim, hidden, mlp, rng)
+    batch = []
+    for _ in range(n_triples):
+        query = random_utterance(rng, n_tokens, max_len + 3)
+        pos = random_utterance(rng, n_tokens, max_len + 3)
+        neg = random_utterance(rng, n_tokens, max_len + 3)
+        if rng.random() < 0.5:
+            pos = query[::-1]  # same ids on both sides of the match
+        batch.append((query, pos, neg))
+    fine_tune = index % 2 == 1
+    margin = 2.0
+    if index % 3 != 0:
+        oriented, gaps = [], []
+        for i, (query, pos, neg) in enumerate(batch):
+            gap = (unreferenced_score(query, pos, params, vocab, matrix, max_len)
+                   - unreferenced_score(query, neg, params, vocab, matrix, max_len))
+            if (gap < 0.0) == (i % 2 == 0):
+                pos, neg, gap = neg, pos, -gap
+            oriented.append((query, pos, neg))
+            gaps.append(gap)
+        batch = oriented
+        satisfied = [g for g in gaps if g > 0.0]
+        if satisfied:
+            margin = 0.5 * min(satisfied)
+    config = TrainConfig(hidden=hidden, mlp_hidden=mlp, margin=margin,
+                         max_len=max_len, fine_tune_embeddings=fine_tune)
+    return batch, params, vocab, matrix, config
+
+
+def _within_oracle_tolerance(got, ref):
+    return np.max(np.abs(got - ref)) <= ORACLE_RTOL * max(1.0, np.max(np.abs(ref)))
+
+
+class TestAgainstLoopOracle:
+    @pytest.mark.parametrize("index", range(ORACLE_INSTANCES))
+    def test_matches_per_step_bptt(self, index):
+        batch, params, vocab, matrix, config = _oracle_instance(index)
+        grads, loss = compute_gradients(batch, params, vocab, matrix, config)
+        ref_scorer, ref_emb, ref_loss = oracles.loop_compute_gradients(
+            batch, params, vocab, matrix, config
+        )
+        assert loss == ref_loss
+        for (name, got), (_, ref) in zip(grads.scorer.tensors(), ref_scorer.tensors()):
+            assert _within_oracle_tolerance(got, ref), name
+        if config.fine_tune_embeddings:
+            assert _within_oracle_tolerance(grads.embeddings, ref_emb)
+        else:
+            assert grads.embeddings is None and ref_emb is None
+
+    def test_instances_cover_the_listed_cases(self):
+        seen = set()
+        for index in range(ORACLE_INSTANCES):
+            batch, params, vocab, matrix, config = _oracle_instance(index)
+            seen.add(("fine_tune", config.fine_tune_embeddings))
+            if params.embed_dim == 50 and params.hidden_size == 64 and params.mlp_size == 128:
+                seen.add("benchmark dims")
+            hinges = []
+            for query, pos, neg in batch:
+                if max(map(len, (query, pos, neg))) > config.max_len:
+                    seen.add("truncated")
+                if len(set(query)) < len(query):
+                    seen.add("repeat within")
+                if set(query) & (set(pos) | set(neg)):
+                    seen.add("repeat across")
+                hinges.append(margin_loss(
+                    unreferenced_score(query, pos, params, vocab, matrix, config.max_len),
+                    unreferenced_score(query, neg, params, vocab, matrix, config.max_len),
+                    config.margin,
+                ) > 0.0)
+            if any(hinges) and not all(hinges):
+                seen.add("some hinges inactive")
+        assert seen == {
+            ("fine_tune", True), ("fine_tune", False), "benchmark dims", "truncated",
+            "repeat within", "repeat across", "some hinges inactive",
+        }
