@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import AnnotatedPair
+from .fileio import atomic_write
 
 
 def aggregate_human(pair: AnnotatedPair) -> float:
@@ -289,7 +290,7 @@ def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndar
 def write_scatter_csv(path, human, metric, sigma: float = 0.25, seed: int = 0) -> None:
     """Write :func:`scatter_points` output as ``human,metric`` CSV rows."""
     points = scatter_points(human, metric, sigma, seed)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("human,metric\n")
         for h, m in points:
             fh.write(f"{h:.6f},{m:.6f}\n")

@@ -37,6 +37,7 @@ from .errors import (
     RuberError,
     ValidationError,
 )
+from .fileio import atomic_write
 from .unreferenced import (
     TrainConfig,
     load_checkpoint,
@@ -101,7 +102,8 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("embeddings", str, required=True, help="embedding text file"),
         _Opt("checkpoint", str, required=True, help="trained scorer checkpoint"),
         _Opt("out", str, required=True, help="score table to write"),
-        _Opt("max_len", int, 50, help="utterance truncation length"),
+        _Opt("max_len", int, help="utterance truncation length "
+             "(default: the checkpoint's training max_len)"),
         _Opt("blend", str, "all", choices=_BLEND_CHOICES,
              help="emit all four blends or just one"),
         _Opt("allow_vocab_mismatch", flag=True,
@@ -190,9 +192,13 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
         raise ConfigError(f"missing required option(s): {flags}")
 
-    echo = " ".join(f"{k}={values[k]}" for k in sorted(values))
-    print(f"config: {args.command} {echo}")
     return values
+
+
+def _echo_config(command: str, values: dict) -> None:
+    """Print the resolved configuration on one ``config:`` line."""
+    echo = " ".join(f"{k}={values[k]}" for k in sorted(values))
+    print(f"config: {command} {echo}")
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -235,6 +241,7 @@ def _convert(opt: _Opt, raw: str, source) -> object:
 
 
 def _cmd_train_embeddings(o: dict) -> int:
+    _echo_config("train-embeddings", o)
     if o["dim"] < 1 or o["window"] < 1 or o["negatives"] < 1 or o["epochs"] < 1 \
             or o["min_count"] < 1:
         raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
@@ -254,6 +261,7 @@ def _cmd_train_embeddings(o: dict) -> int:
 
 
 def _cmd_train_scorer(o: dict) -> int:
+    _echo_config("train-scorer", o)
     config = TrainConfig(
         hidden=o["hidden"], mlp_hidden=o["mlp_hidden"], margin=o["margin"],
         lr=o["lr"], epochs=o["epochs"], batch_size=o["batch_size"],
@@ -281,6 +289,8 @@ def _cmd_train_scorer(o: dict) -> int:
 
 
 def _cmd_score(o: dict) -> int:
+    if o["max_len"] is not None and o["max_len"] < 1:
+        raise ConfigError(f"max_len must be >= 1, got {o['max_len']}")
     dataset = load_annotated(o["data"], o["format"])
     vocab, matrix = load_text_embeddings(o["embeddings"])
     ckpt = load_checkpoint(
@@ -288,6 +298,9 @@ def _cmd_score(o: dict) -> int:
         expected_vocab_hash=vocab_content_hash(vocab),
         allow_vocab_mismatch=o["allow_vocab_mismatch"],
     )
+    if o["max_len"] is None:
+        o["max_len"] = ckpt.config.max_len
+    _echo_config("score", o)
     if ckpt.embed_dim != matrix.shape[1]:
         raise CompatibilityError(
             f"checkpoint expects {ckpt.embed_dim}-dim embeddings, "
@@ -304,6 +317,7 @@ def _cmd_score(o: dict) -> int:
 
 
 def _cmd_report(o: dict) -> int:
+    _echo_config("report", o)
     if o["bins"] < 1:
         raise ConfigError(f"bins must be >= 1, got {o['bins']}")
     if o["jitter_sigma"] < 0:
@@ -311,10 +325,10 @@ def _cmd_report(o: dict) -> int:
     table = scoretable.read_score_table(o["scores"])
     rep = report_mod.build_report(table)
     text = report_mod.format_report_text(rep)
-    with open(o["out"], "w", encoding="utf-8") as fh:
+    with atomic_write(o["out"]) as fh:
         fh.write(report_mod.report_to_json(rep))
     if o["text_out"]:
-        with open(o["text_out"], "w", encoding="utf-8") as fh:
+        with atomic_write(o["text_out"]) as fh:
             fh.write(text)
     print(text, end="")
 
@@ -341,7 +355,7 @@ def _write_quantile_csv(path, table, metric_names, human, bins: int) -> None:
     Rows where the metric is undefined are dropped before binning; a
     metric with fewer usable rows than bins is skipped entirely.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("metric,bin,mean_human,mean_metric\n")
         for name in metric_names:
             values = table.metrics[name]

@@ -10,18 +10,13 @@ up at row 0, matching :class:`~ruber.vocabulary.Vocabulary`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .corpus import Dataset, build_vocab, utterances_of
 from .errors import NumericalError, ParseError, ValidationError
+from .fileio import atomic_write
+from .unreferenced.scorer import sigmoid
 from .vocabulary import UNK_TOKEN, Vocabulary
-
-
-def lookup(vocab: Vocabulary, matrix: np.ndarray, token: str) -> np.ndarray:
-    """Embedding row for ``token``, falling back to the unknown row."""
-    return matrix[vocab.id_of(token)]
 
 
 def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
@@ -101,7 +96,7 @@ def save_text_embeddings(vocab: Vocabulary, matrix: np.ndarray, path) -> None:
         )
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite values")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for tok, row in zip(vocab.tokens, matrix):
             fh.write(tok + " " + " ".join(f"{x:.6f}" for x in row) + "\n")
@@ -124,8 +119,24 @@ def train_sgns(
     1..window per position, noise words drawn from the unigram^0.75
     distribution, input vectors initialized uniformly in
     (-0.5/dim, +0.5/dim), context vectors at zero, and the learning rate
-    decayed linearly to 1e-4 of its starting value over all processed
-    positions.  Deterministic for a fixed ``(dataset, params, seed)``.
+    decayed linearly (once per sentence) to 1e-4 of its starting value
+    over all processed positions.
+
+    Draw order: one ``rng.random((V, dim))`` for the initial vectors, then
+    per sentence of ``n`` words, ``rng.integers(1, window + 1, size=n)``
+    for the radii followed by one ``rng.random((n_ctx, negatives))``,
+    where ``n_ctx`` counts the (centre, window word) slots of the
+    sentence in centre order.  Uniform draws map to noise ids through the
+    cumulative table with ``searchsorted(side="right")``.
+
+    Each centre word is updated as one block: its window words (label 1),
+    each followed by its noise words (label 0), minus any noise word equal
+    to its own window word.  Every ``g = alpha * (label - sigmoid(out @
+    vec))`` uses the context rows and the centre vector as they were
+    before this centre's update; then ``g @ out`` is added to the centre
+    row and ``g * vec`` to each target's context row, accumulating when a
+    target repeats within the block.  Deterministic for a fixed
+    ``(dataset, params, seed)``.
 
     Returns the vocabulary and the input-vector matrix; row 0 (unknown
     token) is set to the mean of all trained rows.
@@ -157,7 +168,8 @@ def train_sgns(
 
     rng = np.random.default_rng(seed)
     vectors = (rng.random((len(vocab), dim)) - 0.5) / dim
-    context = np.zeros((len(vocab), dim))
+    flat_context = np.zeros(len(vocab) * dim)
+    context = flat_context.reshape(len(vocab), dim)
 
     # Cumulative unigram^0.75 table over ids 1..V for inverse-CDF sampling.
     noise = counts[1:] ** 0.75
@@ -169,30 +181,17 @@ def train_sgns(
     for _ in range(epochs):
         for sent in sentences:
             alpha = max(lr * (1.0 - processed / total_positions), floor)
-            for pos, center in enumerate(sent):
-                radius = int(rng.integers(1, window + 1))
-                lo = max(0, pos - radius)
-                hi = min(len(sent), pos + radius + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    ctx = sent[ctx_pos]
-                    vec = vectors[center]
-                    accum = np.zeros(dim)
-                    for k in range(negatives + 1):
-                        if k == 0:
-                            target, label = ctx, 1.0
-                        else:
-                            target = int(np.searchsorted(noise_cdf, rng.random(), side="right")) + 1
-                            if target == ctx:
-                                continue
-                            label = 0.0
-                        out = context[target]
-                        g = alpha * (label - _scalar_sigmoid(float(vec @ out)))
-                        accum += g * out
-                        context[target] += g * vec
-                    vectors[center] += accum
-                processed += 1
+            processed += len(sent)
+            targets, labels, bounds = _sentence_blocks(sent, window, negatives, noise_cdf, rng)
+            # flat cell ids of each target's context row: np.add.at on a 1-D
+            # view takes numpy's fast path, ~3x faster than row indices
+            cells = (targets[:, None] * dim + np.arange(dim)).ravel()
+            for center, a, b in zip(sent, bounds[:-1], bounds[1:]):
+                out = context[targets[a:b]]
+                vec = vectors[center]
+                g = alpha * (labels[a:b] - sigmoid(out @ vec))
+                np.add.at(flat_context, cells[a * dim:b * dim], np.outer(g, vec).ravel())
+                vectors[center] += g @ out
 
     vectors[0] = vectors[1:].mean(axis=0)
     if not np.all(np.isfinite(vectors)):
@@ -200,6 +199,29 @@ def train_sgns(
     return vocab, vectors
 
 
-def _scalar_sigmoid(x: float) -> float:
-    # tanh form is stable for any magnitude of x
-    return 0.5 * (1.0 + math.tanh(0.5 * x))
+def _sentence_blocks(sent, window, negatives, noise_cdf, rng):
+    """Draw one sentence's randomness and lay out its per-centre blocks.
+
+    Returns ``(targets, labels, bounds)``: the block of the centre at
+    position ``p`` is ``targets[bounds[p]:bounds[p + 1]]``, listed window
+    word by window word from left to right, each true context word
+    (label 1) followed by its noise words (label 0) that differ from it.
+    """
+    n = len(sent)
+    pos = np.arange(n)
+    radii = rng.integers(1, window + 1, size=n)
+    lo = np.maximum(pos - radii, 0)
+    widths = np.minimum(pos + radii + 1, n) - lo - 1
+    owner = np.repeat(pos, widths)  # centre position of each context slot
+    ctx_pos = lo[owner] + np.arange(owner.size) - (np.cumsum(widths) - widths)[owner]
+    ctx_pos += ctx_pos >= owner  # step over the centre itself
+    ctx = np.asarray(sent)[ctx_pos]
+    drawn = np.searchsorted(noise_cdf, rng.random((ctx.size, negatives)), side="right") + 1
+    targets = np.column_stack([ctx, drawn])
+    keep = targets != ctx[:, None]
+    keep[:, 0] = True
+    labels = np.zeros(targets.shape)
+    labels[:, 0] = 1.0
+    kept_before = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    bounds = kept_before[np.concatenate([[0], np.cumsum(widths)])]
+    return targets[keep], labels[keep], bounds.tolist()

@@ -18,6 +18,7 @@ from .baselines import bleu, rouge_l
 from .blending import BlendStrategy, blend_series, normalize
 from .corpus import Dataset
 from .errors import NumericalError, ParseError
+from .fileio import atomic_write
 from .referenced import referenced_score
 from .unreferenced import ScorerParams, unreferenced_score
 from .vocabulary import Vocabulary
@@ -140,7 +141,7 @@ def write_score_table(table: ScoreTable, path) -> None:
     k = table.n_annotators
     names = [f"human_{i + 1}" for i in range(k)] + ["human_mean"] + list(table.metrics)
     human_mean = table.human_mean
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("# score table\n")
         fh.write(f"# source: {table.source}\n")
         fh.write(f"# annotators: {k}\n")

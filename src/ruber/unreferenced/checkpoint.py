@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ..errors import CheckpointFormatError, CompatibilityError, ConfigError
+from ..fileio import atomic_write
 from ..vocabulary import Vocabulary
 from .config import TrainConfig
 from .scorer import ScorerParams, scorer_shapes, zero_scorer_params
@@ -64,7 +65,7 @@ def save_checkpoint(
     """Write ``params`` and its training configuration to ``path``."""
     blob = dict(asdict(config), embed_dim=params.embed_dim)
     encoded = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", FORMAT_VERSION))
         fh.write(struct.pack("<I", len(encoded)))

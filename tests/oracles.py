@@ -11,6 +11,7 @@ earlier numpy implementation of the scorer's backward pass.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import mpmath as mp
@@ -104,6 +105,84 @@ def scalar_adam_update(value, grad, m, v, t, lr, beta1, beta2, eps):
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
     return value - lr * m_hat / (math.sqrt(v_hat) + eps), m, v
+
+
+# ---------------------------------------------------------------------------
+# skip-gram with negative sampling
+
+
+def scalar_train_sgns(dataset, dim, window, negatives, epochs, lr, min_count, seed):
+    """Skip-gram trainer in scalar loops; returns ``(vocab, rows, stats)``.
+
+    Makes the library's RNG calls with the same shapes in the same order,
+    maps each noise draw with ``bisect_right`` on the same cumulative
+    unigram^0.75 table, and updates one centre word per block: every
+    gradient is taken from the rows as they were before the block, then
+    the centre row and the targets' context rows are updated.  ``rows``
+    is the input-vector matrix as lists; ``stats`` counts noise draws
+    dropped for equalling their context word (``dropped``) and blocks in
+    which some target occurs more than once (``repeated``).  The
+    vocabulary and the sentence streams come from the library's
+    ``build_vocab``; only the training itself is re-implemented.
+    """
+    from ruber.corpus import build_vocab, utterances_of
+
+    vocab = build_vocab(dataset, min_count=min_count)
+    sentences = []
+    counts = [0.0] * len(vocab)
+    for pair in dataset:
+        for utt in utterances_of(pair):
+            ids = [i for i in (vocab.id_of(t) for t in utt) if i != 0]
+            if ids:
+                sentences.append(ids)
+                for i in ids:
+                    counts[i] += 1.0
+
+    rng = np.random.default_rng(seed)
+    vectors = [[(x - 0.5) / dim for x in row]
+               for row in rng.random((len(vocab), dim)).tolist()]
+    context = [[0.0] * dim for _ in range(len(vocab))]
+    noise = np.array(counts[1:]) ** 0.75
+    cdf = np.cumsum(noise / noise.sum()).tolist()
+
+    stats = dict(dropped=0, repeated=0)
+    total = sum(len(s) for s in sentences) * epochs
+    processed = 0
+    for _ in range(epochs):
+        for sent in sentences:
+            alpha = max(lr * (1.0 - processed / total), lr * 1e-4)
+            processed += len(sent)
+            n = len(sent)
+            radii = rng.integers(1, window + 1, size=n).tolist()
+            windows = [[j for j in range(max(0, p - r), min(n, p + r + 1)) if j != p]
+                       for p, r in enumerate(radii)]
+            draws = rng.random((sum(map(len, windows)), negatives)).tolist()
+            slot = 0
+            for center, ctx_positions in zip(sent, windows):
+                block = []
+                for j in ctx_positions:
+                    block.append((sent[j], 1.0))
+                    for u in draws[slot]:
+                        target = bisect.bisect_right(cdf, u) + 1
+                        if target == sent[j]:
+                            stats["dropped"] += 1
+                        else:
+                            block.append((target, 0.0))
+                    slot += 1
+                if len({t for t, _ in block}) < len(block):
+                    stats["repeated"] += 1
+                vec = vectors[center]
+                gs = [alpha * (label - _sig(sum(o * v for o, v in zip(context[t], vec))))
+                      for t, label in block]
+                delta = [0.0] * dim
+                for (t, _), g in zip(block, gs):
+                    delta = [acc + g * o for acc, o in zip(delta, context[t])]
+                for (t, _), g in zip(block, gs):
+                    context[t] = [c + g * v for c, v in zip(context[t], vec)]
+                vectors[center] = [v + dv for v, dv in zip(vec, delta)]
+
+    vectors[0] = [sum(col) / (len(vocab) - 1) for col in zip(*vectors[1:])]
+    return vocab, vectors, stats
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,42 @@ class TestScore:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "x.tsv").exists()
 
+    def test_max_len_defaults_to_checkpoint(self, pipeline, tmp_path, capsys):
+        ckpt = str(tmp_path / "short.ckpt")
+        assert main([
+            "train-scorer", "--corpus", pipeline["corpus"],
+            "--embeddings", pipeline["emb"], "--out", ckpt,
+            "--hidden", "4", "--mlp-hidden", "6", "--epochs", "1",
+            "--batch-size", "16", "--max-len", "3", "--seed", "5",
+        ]) == 0
+        rng = np.random.default_rng(132)
+        words = [f"flr{i}" for i in range(10)] + [f"topic{i}" for i in range(20)]
+        annotated = write_lines(tmp_path / "long.tsv", [
+            "\t".join(" ".join(rng.choice(words, size=6)) for _ in range(3))
+            + f"\t{i % 3}\t{(i + 1) % 3}"
+            for i in range(8)
+        ])
+        base = ["score", "--data", annotated, "--embeddings", pipeline["emb"],
+                "--checkpoint", ckpt, "--out"]
+        capsys.readouterr()
+        assert main(base + [str(tmp_path / "default.tsv")]) == 0
+        assert "max_len=3 " in capsys.readouterr().out
+        assert main(base + [str(tmp_path / "short.tsv"), "--max-len", "3"]) == 0
+        assert main(base + [str(tmp_path / "full.tsv"), "--max-len", "50"]) == 0
+        default, short, full = ((tmp_path / f"{name}.tsv").read_bytes()
+                                for name in ("default", "short", "full"))
+        assert default == short
+        assert default != full
+
+    def test_bad_max_len_exit_2(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        assert main([
+            "score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+            "--checkpoint", pipeline["ckpt"], "--out", str(out), "--max-len", "0",
+        ]) == 2
+        assert "max_len" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_scores_exit_4(self, pipeline, tmp_path, capsys):
         """Huge but finite vectors overflow the cosine into NaN."""

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from conftest import write_lines
 from ruber.corpus import Dataset, QueryReplyPair, load_pairs
 from ruber.embeddings import (
     load_text_embeddings,
-    lookup,
     save_text_embeddings,
     train_sgns,
 )
@@ -27,8 +27,8 @@ class TestLoadTextEmbeddings:
         assert len(vocab) == 3
         assert matrix.shape == (3, 3)
         assert_allclose(matrix[0], [0.5, 0.5, 0.0])
-        assert_allclose(lookup(vocab, matrix, "a"), [1, 0, 0])
-        assert_allclose(lookup(vocab, matrix, "zzz"), [0.5, 0.5, 0.0])
+        assert_allclose(matrix[vocab.id_of("a")], [1, 0, 0])
+        assert_allclose(matrix[vocab.id_of("zzz")], [0.5, 0.5, 0.0])
 
     def test_explicit_unk_moved_to_row_zero(self, tmp_path):
         path = write_lines(tmp_path / "emb.txt", [
@@ -185,3 +185,44 @@ class TestTrainSgns:
         vocab, matrix = train_sgns(ds, dim=12, epochs=1, min_count=1, seed=9)
         assert matrix.shape == (len(vocab), 12)
         assert np.all(np.isfinite(matrix))
+
+
+# Oracle instances: a 4-word vocabulary so noise draws often equal the
+# context word and targets repeat within a block; two epochs so the
+# learning rate decays; every instance runs with window 1 and window 5.
+ORACLE_SEEDS = range(6)
+ORACLE_WINDOWS = (1, 5)
+ORACLE_RTOL = 1e-12  # per entry, relative to the oracle's value
+
+
+def _oracle_instance(seed, window):
+    rng = np.random.default_rng([seed, 17])
+    words = ["w0", "w1", "w2", "w3"]
+
+    def utterance():
+        return [words[int(rng.integers(4))] for _ in range(int(rng.integers(1, 9)))]
+
+    dataset = Dataset([QueryReplyPair(utterance(), utterance()) for _ in range(12)],
+                      "memory", "tsv")
+    params = dict(dim=(3, 5, 8)[seed % 3], window=window, negatives=(3, 4, 5)[seed % 3],
+                  epochs=2, lr=0.025, min_count=1, seed=seed)
+    return dataset, params
+
+
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("window", ORACLE_WINDOWS)
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_matches_scalar_blocks(self, seed, window):
+        dataset, params = _oracle_instance(seed, window)
+        vocab, matrix = train_sgns(dataset, **params)
+        ref_vocab, ref_rows, _ = oracles.scalar_train_sgns(dataset, **params)
+        assert vocab == ref_vocab
+        assert_allclose(matrix, np.array(ref_rows), rtol=ORACLE_RTOL, atol=0.0)
+
+    def test_instances_drop_noise_and_repeat_targets(self):
+        for seed in ORACLE_SEEDS:
+            for window in ORACLE_WINDOWS:
+                dataset, params = _oracle_instance(seed, window)
+                _, _, stats = oracles.scalar_train_sgns(dataset, **params)
+                assert stats["dropped"] >= 1, (seed, window)
+                assert stats["repeated"] >= 1, (seed, window)
