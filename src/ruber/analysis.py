@@ -12,19 +12,11 @@ report can render them as "undefined".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AnnotatedPair
 from .fileio import atomic_write
-
-
-def aggregate_human(pair: AnnotatedPair) -> float:
-    """Mean of the annotator scores of one pair."""
-    if not pair.human_scores:
-        raise ValueError("pair carries no annotator scores")
-    return sum(pair.human_scores) / len(pair.human_scores)
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +61,13 @@ def rankdata(values) -> np.ndarray:
     """1-based ranks; ties share the average of the ranks they span."""
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    # a tie run starts wherever adjacent sorted values differ; NaN equals
+    # nothing, so every NaN is a run of its own
+    first = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    last = np.append(first[1:], arr.size) - 1
     ranks = np.empty(arr.size, dtype=float)
-    i = 0
-    while i < arr.size:
-        j = i
-        while j + 1 < arr.size and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -198,15 +189,15 @@ class InterAnnotatorResult:
     excluded: list[int]  # annotator indices with undefined one-vs-rest results
 
 
-def inter_annotator(dataset) -> InterAnnotatorResult:
-    """One-vs-rest agreement over an annotated dataset (needs >= 2 annotators).
+def inter_annotator(scores) -> InterAnnotatorResult:
+    """One-vs-rest agreement over an ``(n, K)`` annotator score matrix (K >= 2).
 
     Annotators whose one-vs-rest correlation is undefined (for example a
     constant scorer) are listed in ``excluded`` and left out of the
     aggregates.  Aggregate p-values are recomputed from the aggregated
-    coefficient at the dataset size via the same t transform.
+    coefficient at the row count via the same t transform.
     """
-    scores = np.array([pair.human_scores for pair in dataset], dtype=float)
+    scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] < 2:
         raise ValueError("inter-annotator agreement needs at least 2 annotators")
     n_pairs, k = scores.shape

@@ -7,7 +7,6 @@ pair by one of four strategies.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -20,7 +19,7 @@ class BlendStrategy(str, Enum):
     ARITHMETIC = "arithmetic"
 
 
-# How far outside [0, 1] an input may stray before blend() refuses it.
+# How far outside [0, 1] an input may stray before a blend refuses it.
 _BLEND_SLACK = 1e-9
 
 
@@ -43,24 +42,35 @@ def normalize(values) -> np.ndarray:
 
 
 def blend(ref_score: float, unref_score: float, strategy) -> float:
-    """Combine two normalized scores; the result stays inside [0, 1].
+    """Combine two normalized scores; one-element :func:`blend_series`."""
+    return float(blend_series([ref_score], [unref_score], strategy)[0])
+
+
+def blend_series(ref_norm, unref_norm, strategy) -> np.ndarray:
+    """Combine two aligned normalized series; results stay inside [0, 1].
 
     Inputs must already be normalized: values outside [0, 1] by more
     than a hair are rejected rather than silently clipped.
     """
+    ref_norm = np.asarray(ref_norm, dtype=float)
+    unref_norm = np.asarray(unref_norm, dtype=float)
+    if ref_norm.shape != unref_norm.shape:
+        raise ValueError(
+            f"series shapes differ: {ref_norm.shape} vs {unref_norm.shape}"
+        )
     strategy = BlendStrategy(strategy)
-    x = _checked(ref_score)
-    y = _checked(unref_score)
+    x = _checked(ref_norm)
+    y = _checked(unref_norm)
     if strategy is BlendStrategy.MIN:
-        return min(x, y)
+        return _min(x, y)
     if strategy is BlendStrategy.MAX:
-        return max(x, y)
+        return _max(x, y)
     if strategy is BlendStrategy.GEOMETRIC:
         return _geometric(x, y)
     return 0.5 * (x + y)
 
 
-def _geometric(x: float, y: float) -> float:
+def _geometric(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sqrt(x*y), kept inside [min(x,y), max(x,y)] at float precision.
 
     The direct product can misbehave at the edges of the double range:
@@ -69,28 +79,24 @@ def _geometric(x: float, y: float) -> float:
     roots on underflow, and the final ordering clamp (a bound the exact
     geometric mean always satisfies) remove those artifacts.
     """
-    if x == y:
-        return x
-    lo, hi = (x, y) if x < y else (y, x)
     product = x * y
-    value = math.sqrt(product) if product > 0.0 else math.sqrt(x) * math.sqrt(y)
-    return min(max(value, lo), hi)
+    value = np.where(product > 0.0, np.sqrt(product), np.sqrt(x) * np.sqrt(y))
+    return np.where(x == y, x, _min(_max(value, _min(x, y)), _max(x, y)))
 
 
-def blend_series(ref_norm, unref_norm, strategy) -> np.ndarray:
-    """Vector version of :func:`blend` over two aligned series."""
-    ref_norm = np.asarray(ref_norm, dtype=float)
-    unref_norm = np.asarray(unref_norm, dtype=float)
-    if ref_norm.shape != unref_norm.shape:
-        raise ValueError(
-            f"series shapes differ: {ref_norm.shape} vs {unref_norm.shape}"
-        )
-    return np.array([
-        blend(float(a), float(b), strategy) for a, b in zip(ref_norm, unref_norm)
-    ])
+def _checked(values: np.ndarray) -> np.ndarray:
+    inside = (values >= -_BLEND_SLACK) & (values <= 1.0 + _BLEND_SLACK)
+    if not inside.all():
+        bad = float(values[~inside].flat[0])
+        raise ValueError(f"blend input {bad!r} lies outside [0, 1]")
+    return _min(_max(values, 0.0), 1.0)
 
 
-def _checked(value: float) -> float:
-    if not (-_BLEND_SLACK <= value <= 1.0 + _BLEND_SLACK):
-        raise ValueError(f"blend input {value!r} lies outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+# Element-wise builtin min/max: the first argument wins ties, so a zero
+# keeps its sign exactly as the scalar builtins would leave it.
+def _min(a, b):
+    return np.where(b < a, b, a)
+
+
+def _max(a, b):
+    return np.where(b > a, b, a)

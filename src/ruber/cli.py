@@ -131,7 +131,8 @@ def main(argv=None) -> int:
         return handler(options)
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
-    except (ParseError, ValidationError, CheckpointFormatError, OSError) as exc:
+    except (ParseError, ValidationError, CheckpointFormatError, OSError,
+            UnicodeDecodeError) as exc:
         return _fail(exc, EXIT_IO)
     except NumericalError as exc:
         return _fail(exc, EXIT_NUMERICAL)
@@ -242,11 +243,6 @@ def _convert(opt: _Opt, raw: str, source) -> object:
 
 def _cmd_train_embeddings(o: dict) -> int:
     _echo_config("train-embeddings", o)
-    if o["dim"] < 1 or o["window"] < 1 or o["negatives"] < 1 or o["epochs"] < 1 \
-            or o["min_count"] < 1:
-        raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
-    if o["lr"] <= 0:
-        raise ConfigError(f"lr must be positive, got {o['lr']}")
     started = time.perf_counter()
     dataset = load_pairs(o["corpus"], o["format"])
     vocab, matrix = train_sgns(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import ParseError, ValidationError
-from .vocabulary import Vocabulary
+from .vocabulary import UNK_TOKEN, Vocabulary
 
 # An utterance is a list of whitespace-free tokens in surface order.
 Utterance = list[str]
@@ -171,7 +171,7 @@ def build_vocab(dataset: Dataset, min_count: int = 1) -> Vocabulary:
 
     Tokens seen at least ``min_count`` times get ids 1..V ordered by
     descending frequency, ties broken lexicographically; id 0 is the
-    unknown token.
+    unknown token, which a literal ``<unk>`` in the text also maps to.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -182,7 +182,7 @@ def build_vocab(dataset: Dataset, min_count: int = 1) -> Vocabulary:
         for utt in utterances_of(pair):
             counts.update(utt)
     kept = sorted(
-        (tok for tok, cnt in counts.items() if cnt >= min_count),
+        (tok for tok, cnt in counts.items() if cnt >= min_count and tok != UNK_TOKEN),
         key=lambda tok: (-counts[tok], tok),
     )
     return Vocabulary(kept)

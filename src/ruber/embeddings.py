@@ -10,10 +10,13 @@ up at row 0, matching :class:`~ruber.vocabulary.Vocabulary`.
 
 from __future__ import annotations
 
+import math
+from array import array
+
 import numpy as np
 
 from .corpus import Dataset, build_vocab, utterances_of
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import ConfigError, NumericalError, ParseError, ValidationError
 from .fileio import atomic_write
 from .unreferenced.scorer import sigmoid
 from .vocabulary import UNK_TOKEN, Vocabulary
@@ -49,10 +52,10 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
             f"header declares {declared} rows but file has {len(lines) - 1}",
         )
 
+    # grows with the rows read, never to (declared, dim): the header may lie
     tokens: list[str] = []
-    rows = np.empty((declared, dim), dtype=float)
-    for offset, line in enumerate(lines[1:]):
-        lineno = offset + 2
+    values = array("d")
+    for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
         if len(parts) != dim + 1:
             raise ParseError(
@@ -61,11 +64,13 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
             )
         tokens.append(parts[0])
         try:
-            rows[offset] = [float(p) for p in parts[1:]]
+            row = [float(p) for p in parts[1:]]
         except ValueError as exc:
             raise ParseError(path, lineno, "vector component is not a number") from exc
-        if not np.all(np.isfinite(rows[offset])):
+        if not all(map(math.isfinite, row)):
             raise ParseError(path, lineno, "vector contains a non-finite component")
+        values.extend(row)
+    rows = np.frombuffer(values).reshape(declared, dim)
 
     if tokens.count(UNK_TOKEN) > 1:
         raise ParseError(path, 1, f"more than one {UNK_TOKEN!r} row")
@@ -96,10 +101,11 @@ def save_text_embeddings(vocab: Vocabulary, matrix: np.ndarray, path) -> None:
         )
     if not np.all(np.isfinite(matrix)):
         raise ValueError("matrix contains non-finite values")
+    fmt = " ".join(["%.6f"] * matrix.shape[1])
     with atomic_write(path) as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
         for tok, row in zip(vocab.tokens, matrix):
-            fh.write(tok + " " + " ".join(f"{x:.6f}" for x in row) + "\n")
+            fh.write(tok + " " + fmt % tuple(row.tolist()) + "\n")
 
 
 def train_sgns(
@@ -139,12 +145,13 @@ def train_sgns(
     ``(dataset, params, seed)``.
 
     Returns the vocabulary and the input-vector matrix; row 0 (unknown
-    token) is set to the mean of all trained rows.
+    token) is set to the mean of all trained rows.  Unusable arguments
+    raise :class:`~ruber.errors.ConfigError`.
     """
     if dim < 1 or window < 1 or negatives < 1 or epochs < 1 or min_count < 1:
-        raise ValueError("dim, window, negatives, epochs and min_count must be >= 1")
+        raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
     if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+        raise ConfigError(f"lr must be positive, got {lr}")
 
     vocab = build_vocab(dataset, min_count=min_count)
     if len(vocab) < 2:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .analysis import CorrelationResult, correlate, inter_annotator
-from .corpus import AnnotatedPair
 from .scoretable import ScoreTable
 
 # Row order in rendered reports; *_norm columns are omitted because both
@@ -54,10 +53,7 @@ def build_report(table: ScoreTable) -> CorrelationReport:
     rows: dict[str, CorrelationResult] = {}
     excluded: list[int] = []
     if table.n_annotators >= 2:
-        pairs = [
-            AnnotatedPair([], [], [], list(scores)) for scores in table.human_scores
-        ]
-        agreement = inter_annotator(pairs)
+        agreement = inter_annotator(table.human_scores)
         rows["human_avg"] = agreement.average
         rows["human_max"] = agreement.maximum
         excluded = agreement.excluded

@@ -13,7 +13,7 @@ All arithmetic is float64; checkpoints quantize to float32 on disk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -32,8 +32,25 @@ def sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
 
 
+class TensorTree:
+    """Base of the dataclasses whose fields are tensors or nested trees."""
+
+    def tensors(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+        """Every leaf as ``(dotted name, tensor)``, in field declaration order.
+
+        The checkpoint layout and the optimizer state both follow that
+        order.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, TensorTree):
+                yield from value.tensors(f"{prefix}{f.name}.")
+            else:
+                yield f"{prefix}{f.name}", value
+
+
 @dataclass
-class GruParams:
+class GruParams(TensorTree):
     """One GRU direction.
 
     ``w_gates``/``u_gates``/``b_gates`` produce the stacked reset and
@@ -56,17 +73,9 @@ class GruParams:
     def input_dim(self) -> int:
         return self.w_cand.shape[1]
 
-    def tensors(self, prefix: str) -> Iterator[tuple[str, np.ndarray]]:
-        yield f"{prefix}.w_gates", self.w_gates
-        yield f"{prefix}.u_gates", self.u_gates
-        yield f"{prefix}.b_gates", self.b_gates
-        yield f"{prefix}.w_cand", self.w_cand
-        yield f"{prefix}.u_cand", self.u_cand
-        yield f"{prefix}.b_cand", self.b_cand
-
 
 @dataclass
-class BiGruEncoder:
+class BiGruEncoder(TensorTree):
     forward: GruParams
     backward: GruParams
 
@@ -74,18 +83,10 @@ class BiGruEncoder:
     def hidden_size(self) -> int:
         return self.forward.hidden_size
 
-    def tensors(self, prefix: str) -> Iterator[tuple[str, np.ndarray]]:
-        yield from self.forward.tensors(f"{prefix}.forward")
-        yield from self.backward.tensors(f"{prefix}.backward")
-
 
 @dataclass
-class ScorerParams:
-    """Every trainable tensor of the scorer, in one container.
-
-    ``tensors()`` yields them in a fixed declaration order; the
-    checkpoint layout and the optimizer state both follow that order.
-    """
+class ScorerParams(TensorTree):
+    """Every trainable tensor of the scorer, in one container."""
 
     query_encoder: BiGruEncoder
     reply_encoder: BiGruEncoder
@@ -107,54 +108,43 @@ class ScorerParams:
     def mlp_size(self) -> int:
         return self.mlp_hidden_w.shape[0]
 
-    def tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield from self.query_encoder.tensors("query_encoder")
-        yield from self.reply_encoder.tensors("reply_encoder")
-        yield "bilinear", self.bilinear
-        yield "mlp_hidden_w", self.mlp_hidden_w
-        yield "mlp_hidden_b", self.mlp_hidden_b
-        yield "mlp_out_w", self.mlp_out_w
-        yield "mlp_out_b", self.mlp_out_b
-
-    def copy(self) -> "ScorerParams":
-        out = zero_scorer_params(self.embed_dim, self.hidden_size, self.mlp_size)
-        for (_, dst), (_, src) in zip(out.tensors(), self.tensors()):
-            dst[...] = src
-        return out
-
 
 def zero_scorer_params(embed_dim: int, hidden: int, mlp_hidden: int) -> ScorerParams:
     """All-zero parameter container (also used for gradient accumulators)."""
-    return _scorer_layout(embed_dim, hidden, mlp_hidden, np.zeros)
+    return _scorer_layout(embed_dim, hidden, mlp_hidden, lambda shape, weight: np.zeros(shape))
 
 
 def scorer_shapes(embed_dim: int, hidden: int, mlp_hidden: int) -> list[tuple[int, ...]]:
     """Shape of every scorer tensor in declaration order, allocating nothing."""
-    layout = _scorer_layout(embed_dim, hidden, mlp_hidden, lambda shape: shape)
+    layout = _scorer_layout(embed_dim, hidden, mlp_hidden, lambda shape, weight: shape)
     return [shape for _, shape in layout.tensors()]
 
 
 def _scorer_layout(embed_dim: int, hidden: int, mlp_hidden: int, leaf) -> ScorerParams:
-    """The tensor tree, with ``leaf(shape_tuple)`` supplying each tensor."""
+    """The tensor tree, with ``leaf(shape, weight)`` supplying each tensor.
+
+    ``weight`` is False for the biases and the bilinear form.  Leaves are
+    requested in declaration order.
+    """
 
     def gru() -> GruParams:
         return GruParams(
-            w_gates=leaf((2 * hidden, embed_dim)),
-            u_gates=leaf((2 * hidden, hidden)),
-            b_gates=leaf((2 * hidden,)),
-            w_cand=leaf((hidden, embed_dim)),
-            u_cand=leaf((hidden, hidden)),
-            b_cand=leaf((hidden,)),
+            w_gates=leaf((2 * hidden, embed_dim), True),
+            u_gates=leaf((2 * hidden, hidden), True),
+            b_gates=leaf((2 * hidden,), False),
+            w_cand=leaf((hidden, embed_dim), True),
+            u_cand=leaf((hidden, hidden), True),
+            b_cand=leaf((hidden,), False),
         )
 
     return ScorerParams(
         query_encoder=BiGruEncoder(gru(), gru()),
         reply_encoder=BiGruEncoder(gru(), gru()),
-        bilinear=leaf((2 * hidden, 2 * hidden)),
-        mlp_hidden_w=leaf((mlp_hidden, 4 * hidden + 1)),
-        mlp_hidden_b=leaf((mlp_hidden,)),
-        mlp_out_w=leaf((mlp_hidden,)),
-        mlp_out_b=leaf(()),
+        bilinear=leaf((2 * hidden, 2 * hidden), False),
+        mlp_hidden_w=leaf((mlp_hidden, 4 * hidden + 1), True),
+        mlp_hidden_b=leaf((mlp_hidden,), False),
+        mlp_out_w=leaf((mlp_hidden,), True),
+        mlp_out_b=leaf((), False),
     )
 
 
@@ -163,36 +153,22 @@ def init_scorer_params(
 ) -> ScorerParams:
     """Fresh scorer parameters.
 
-    Weight matrices draw uniformly from +-sqrt(6 / (fan_in + fan_out)),
-    biases and the bilinear form start at zero.  Tensors are drawn in
-    declaration order, so a fixed rng state fixes the result.
+    Weights draw uniformly from +-sqrt(6 / (fan_in + fan_out)), with
+    ``(fan_out, fan_in)`` read off the shape (a vector ``(m,)`` counts as
+    ``(1, m)``); biases and the bilinear form start at zero.  Tensors are
+    drawn in declaration order, so a fixed rng state fixes the result.
     """
     if embed_dim < 1 or hidden < 1 or mlp_hidden < 1:
         raise ValueError("embed_dim, hidden and mlp_hidden must be >= 1")
 
-    def xavier(shape, fan_in, fan_out):
+    def leaf(shape, weight):
+        if not weight:
+            return np.zeros(shape)
+        fan_out, fan_in = shape if len(shape) == 2 else (1, shape[0])
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, shape)
 
-    def gru() -> GruParams:
-        return GruParams(
-            w_gates=xavier((2 * hidden, embed_dim), embed_dim, 2 * hidden),
-            u_gates=xavier((2 * hidden, hidden), hidden, 2 * hidden),
-            b_gates=np.zeros(2 * hidden),
-            w_cand=xavier((hidden, embed_dim), embed_dim, hidden),
-            u_cand=xavier((hidden, hidden), hidden, hidden),
-            b_cand=np.zeros(hidden),
-        )
-
-    return ScorerParams(
-        query_encoder=BiGruEncoder(gru(), gru()),
-        reply_encoder=BiGruEncoder(gru(), gru()),
-        bilinear=np.zeros((2 * hidden, 2 * hidden)),
-        mlp_hidden_w=xavier((mlp_hidden, 4 * hidden + 1), 4 * hidden + 1, mlp_hidden),
-        mlp_hidden_b=np.zeros(mlp_hidden),
-        mlp_out_w=xavier(mlp_hidden, mlp_hidden, 1),
-        mlp_out_b=np.zeros(()),
-    )
+    return _scorer_layout(embed_dim, hidden, mlp_hidden, leaf)
 
 
 def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams) -> np.ndarray:

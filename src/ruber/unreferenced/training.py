@@ -24,16 +24,11 @@ NEGATIVE_RETRY_CAP = 100
 HOLDOUT_FRACTION = 0.1
 
 
-def sample_negative(
-    pairs,
-    positive_index: int,
-    rng: np.random.Generator,
-    max_retries: int = NEGATIVE_RETRY_CAP,
-) -> Utterance:
+def sample_negative(pairs, positive_index: int, rng: np.random.Generator) -> Utterance:
     """Reply of a uniformly drawn pair other than ``positive_index``.
 
     Draws are rejected while the sampled reply is token-for-token equal
-    to the positive reply; after ``max_retries`` rejections a
+    to the positive reply; after ``NEGATIVE_RETRY_CAP`` rejections a
     :class:`~ruber.errors.ValidationError` is raised (the corpus is then
     too repetitive to supply negatives for this pair).
     """
@@ -43,7 +38,7 @@ def sample_negative(
     if not 0 <= positive_index < n:
         raise ValueError(f"positive_index {positive_index} out of range for {n} pairs")
     positive_reply = pairs[positive_index].reply
-    for _ in range(max_retries):
+    for _ in range(NEGATIVE_RETRY_CAP):
         j = int(rng.integers(0, n - 1))
         if j >= positive_index:
             j += 1
@@ -51,7 +46,7 @@ def sample_negative(
         if candidate != positive_reply:
             return candidate
     raise ValidationError(
-        f"no distinct negative reply found in {max_retries} draws "
+        f"no distinct negative reply found in {NEGATIVE_RETRY_CAP} draws "
         f"for pair {positive_index}"
     )
 

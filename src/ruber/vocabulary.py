@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 UNK_TOKEN = "<unk>"
 
@@ -31,12 +31,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._id_to_token)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Vocabulary):
             return NotImplemented
@@ -50,6 +44,3 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         """Id of ``token``, or 0 (the unknown token) when absent."""
         return self._token_to_id.get(token, 0)
-
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]

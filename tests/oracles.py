@@ -5,8 +5,10 @@ library: pure-Python scalar loops over lists, ``math.exp`` based
 logistic, dict-based n-gram counting, brute-force subsequence search,
 and mpmath extended precision for the statistics.  Agreement between
 these and the vectorized library code is what the oracle tests assert.
-The one exception is :func:`loop_compute_gradients`, a frozen copy of an
-earlier numpy implementation of the scorer's backward pass.
+The exceptions are :func:`loop_compute_gradients`, a frozen copy of an
+earlier numpy implementation of the scorer's backward pass, and
+:func:`listed_scorer_init`, the scorer's initializer as it was written
+out tensor by tensor.
 """
 
 from __future__ import annotations
@@ -246,6 +248,71 @@ def brute_force_rouge_l(candidate, reference):
 
 
 # ---------------------------------------------------------------------------
+# scorer parameter layout
+
+
+def listed_scorer_init(embed_dim, hidden, mlp_hidden, rng):
+    """``[(dotted name, tensor)]`` of fresh scorer parameters, listed by hand.
+
+    This is the checkpoint layout: every tensor in declaration order,
+    weights drawn Xavier-uniform with their fans spelled out, biases and
+    the bilinear form at zero.
+    """
+    def xavier(shape, fan_in, fan_out):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, shape)
+
+    d, h, m = embed_dim, hidden, mlp_hidden
+    listed = []
+    for prefix in ("query_encoder.forward.", "query_encoder.backward.",
+                   "reply_encoder.forward.", "reply_encoder.backward."):
+        listed += [
+            (prefix + "w_gates", xavier((2 * h, d), d, 2 * h)),
+            (prefix + "u_gates", xavier((2 * h, h), h, 2 * h)),
+            (prefix + "b_gates", np.zeros(2 * h)),
+            (prefix + "w_cand", xavier((h, d), d, h)),
+            (prefix + "u_cand", xavier((h, h), h, h)),
+            (prefix + "b_cand", np.zeros(h)),
+        ]
+    return listed + [
+        ("bilinear", np.zeros((2 * h, 2 * h))),
+        ("mlp_hidden_w", xavier((m, 4 * h + 1), 4 * h + 1, m)),
+        ("mlp_hidden_b", np.zeros(m)),
+        ("mlp_out_w", xavier(m, m, 1)),
+        ("mlp_out_b", np.zeros(())),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# scalar blends
+
+
+def scalar_blend(x, y, strategy):
+    """One blend of two normalized scores with builtin ``min``/``max``/``math.sqrt``.
+
+    ``strategy`` is the string value; inputs outside [0, 1] by more than
+    1e-9 raise ``ValueError``, inputs within that slack are clipped.
+    """
+    for value in (x, y):
+        if not (-1e-9 <= value <= 1.0 + 1e-9):
+            raise ValueError(f"blend input {value!r} lies outside [0, 1]")
+    x = min(max(x, 0.0), 1.0)
+    y = min(max(y, 0.0), 1.0)
+    if strategy == "min":
+        return min(x, y)
+    if strategy == "max":
+        return max(x, y)
+    if strategy == "arithmetic":
+        return 0.5 * (x + y)
+    if x == y:
+        return x
+    lo, hi = (x, y) if x < y else (y, x)
+    product = x * y
+    value = math.sqrt(product) if product > 0.0 else math.sqrt(x) * math.sqrt(y)
+    return min(max(value, lo), hi)
+
+
+# ---------------------------------------------------------------------------
 # extended-precision statistics
 
 
@@ -440,9 +507,9 @@ def loop_compute_gradients(batch, params, vocab, matrix, config):
 
     Returns ``(scorer_grads, embedding_grads_or_None, mean_loss)``.
     """
-    grads = params.copy()
-    for _, arr in grads.tensors():
-        arr[...] = 0.0
+    from ruber.unreferenced import zero_scorer_params
+
+    grads = zero_scorer_params(params.embed_dim, params.hidden_size, params.mlp_size)
     emb_grad = np.zeros_like(matrix) if config.fine_tune_embeddings else None
     total = 0.0
     for query, pos, neg in batch:

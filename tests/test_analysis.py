@@ -8,24 +8,24 @@ from numpy.testing import assert_allclose
 
 import oracles
 from ruber.analysis import (
-    aggregate_human,
     correlate,
     inter_annotator,
     pearson,
     quantile_bins,
+    rankdata,
     regularized_incomplete_beta,
     scatter_points,
     spearman,
     write_scatter_csv,
 )
-from ruber.corpus import AnnotatedPair
+from ruber.scoretable import ScoreTable
 
 
 class TestAggregateHuman:
     def test_means(self):
-        assert aggregate_human(AnnotatedPair([], [], [], [2, 2, 2])) == 2.0
-        assert aggregate_human(AnnotatedPair([], [], [], [0, 1, 2])) == 1.0
-        assert aggregate_human(AnnotatedPair([], [], [], [1, 2])) == 1.5
+        three = ScoreTable(np.array([[2, 2, 2], [0, 1, 2]]), {})
+        assert three.human_mean.tolist() == [2.0, 1.0]
+        assert ScoreTable(np.array([[1, 2]]), {}).human_mean.tolist() == [1.5]
 
 
 class TestPearson:
@@ -107,6 +107,22 @@ class TestSpearman:
                 assert rho == pytest.approx(oracles.mp_spearman_rho(x, y), abs=1e-12)
 
 
+class TestRankdata:
+    def test_matches_average_ranks_oracle(self):
+        rng = np.random.default_rng(104)
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -1e300])
+        for n in (0, 1, 2, 7, 60, 400):
+            for _ in range(10):
+                pool = np.concatenate([rng.integers(-3, 4, 8).astype(float), edges,
+                                       rng.normal(0, 1, 8)])
+                values = rng.choice(pool, n)
+                assert rankdata(values).tolist() == oracles.average_ranks(values.tolist())
+
+    def test_each_nan_ranks_alone_after_the_numbers(self):
+        got = rankdata([np.nan, 2.0, np.nan, 1.0, 2.0])
+        assert got.tolist() == [4.0, 2.5, 5.0, 1.0, 2.5]
+
+
 class TestIncompleteBeta:
     def test_against_mpmath(self):
         rng = np.random.default_rng(103)
@@ -163,7 +179,7 @@ class TestCorrelate:
 
 class TestInterAnnotator:
     def _pairs(self, table):
-        return [AnnotatedPair([], [], [], list(row)) for row in table]
+        return np.array(table, dtype=int)
 
     def test_identical_annotators(self):
         pairs = self._pairs([[0, 0], [1, 1], [2, 2], [1, 1]])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import oracles
 from ruber.blending import BlendStrategy, blend, blend_series, normalize
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -133,14 +134,25 @@ class TestBlend:
 
 class TestBlendSeries:
     def test_matches_scalar_blend(self):
+        # bit patterns must agree, so signed zeros and the geometric edge
+        # branches (equal inputs, underflowing product) count too
         rng = np.random.default_rng(84)
-        ref = rng.uniform(0, 1, 30)
-        unref = rng.uniform(0, 1, 30)
+        edges = [0.0, -0.0, 1.0, -1e-10, 1.0 + 1e-10, 5e-324, 1e-160, 1e-300,
+                 0.5, float(np.nextafter(0.5, 1.0))]
+        ref = np.concatenate([rng.uniform(0, 1, 30), np.repeat(edges, len(edges))])
+        unref = np.concatenate([rng.uniform(0, 1, 30), np.tile(edges, len(edges))])
         for strategy in BlendStrategy:
             series = blend_series(ref, unref, strategy)
-            scalar = [blend(float(a), float(b), strategy)
-                      for a, b in zip(ref, unref)]
-            assert_allclose(series, scalar, atol=0)
+            scalar = np.array([oracles.scalar_blend(float(a), float(b), strategy.value)
+                               for a, b in zip(ref, unref)])
+            assert series.view(np.int64).tolist() == scalar.view(np.int64).tolist()
+            assert blend(float(ref[0]), float(unref[0]), strategy) == scalar[0]
+
+    def test_out_of_range_rejected_anywhere_in_the_series(self):
+        with pytest.raises(ValueError, match="outside"):
+            blend_series([0.5, 0.2, 1.5], [0.5, 0.5, 0.5], BlendStrategy.ARITHMETIC)
+        with pytest.raises(ValueError, match="outside"):
+            blend_series([0.5, 0.2], [0.5, np.nan], BlendStrategy.MIN)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

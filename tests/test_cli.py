@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import rewrite_checkpoint_header, separable_corpus, write_lines
 from ruber.cli import main
@@ -372,6 +373,81 @@ class TestConfigFile:
         cfg = write_lines(tmp_path / "opts.cfg", ["just some words"])
         assert main(["train-embeddings", "--config", cfg,
                      "--corpus", "x", "--out", "y"]) == 2
+
+
+class TestInputsEndInExitCodes:
+    """Inputs that once ended in a traceback map onto a README exit code."""
+
+    def test_oversized_embedding_header_is_exit_3(self, pipeline, tmp_path, capsys):
+        emb = write_lines(tmp_path / "huge.txt", ["1 1000000000000", "a 0.5"])
+        assert main([
+            "train-scorer", "--corpus", pipeline["corpus"], "--embeddings", emb,
+            "--out", str(tmp_path / "x.ckpt"), "--epochs", "0",
+        ]) == 3
+        assert "expected a token and 1000000000000 values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["corpus", "embeddings", "config", "scores"])
+    def test_non_utf8_input_is_exit_3(self, pipeline, tmp_path, capsys, which):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\u00e9\tna\u00efve\n".encode("latin-1"))
+        inputs = {"--corpus": pipeline["corpus"], "--embeddings": pipeline["emb"],
+                  f"--{which}": str(bad)}
+        argv = ["train-scorer", "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]
+        argv += [item for flag_and_path in inputs.items() for item in flag_and_path]
+        if which == "scores":
+            argv = ["report", "--scores", str(bad), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_literal_unk_token_in_corpus(self, tmp_path, capsys):
+        corpus = write_lines(tmp_path / "unk.tsv", ["a <unk> b\tb a", "<unk> a\tb"] * 4)
+        out = str(tmp_path / "emb.txt")
+        assert main(["train-embeddings", "--corpus", corpus, "--out", out,
+                     "--dim", "4", "--epochs", "1", "--min-count", "1"]) == 0
+        vocab, _ = load_text_embeddings(out)
+        assert vocab.tokens == ["<unk>", "a", "b"]
+
+
+_VALID_EMBEDDINGS = b"3 2\na 0.1 0.2\nb -0.3 0.4\n<unk> 0 0.5\n"
+_VALID_CORPUS = b"a b\tb a\nb\ta c\nc a\tb\n"
+
+# None or (kind, position, payload); position wraps modulo the file length
+_MUTATION = st.none() | st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 64), st.just(b"")),
+    st.tuples(st.just("insert"), st.integers(0, 64), st.binary(min_size=1, max_size=6)),
+    st.tuples(st.just("insert"), st.integers(0, 64), st.text(max_size=6).map(str.encode)),
+    st.tuples(st.just("insert"), st.integers(0, 64),
+              st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\x80\x80"])),
+    st.tuples(st.just("header"), st.integers(0, 10**12), st.integers(0, 10**12)),
+)
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    if mutation is None:
+        return data
+    kind, at, payload = mutation
+    if kind == "header":  # replace the first line by two integers
+        return b"%d %d\n" % (at, payload) + data.split(b"\n", 1)[1]
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + payload + data[at:]
+
+
+class TestExitCodeContract:
+    @given(emb=_MUTATION, corpus=_MUTATION)
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_inputs_end_in_a_documented_code(self, tmp_path, emb, corpus):
+        emb_path, corpus_path = tmp_path / "emb.txt", tmp_path / "corpus.tsv"
+        emb_path.write_bytes(_mutate(_VALID_EMBEDDINGS, emb))
+        corpus_path.write_bytes(_mutate(_VALID_CORPUS, corpus))
+        code = main([
+            "train-scorer", "--corpus", str(corpus_path), "--embeddings", str(emb_path),
+            "--out", str(tmp_path / "x.ckpt"),
+            "--epochs", "0", "--hidden", "2", "--mlp-hidden", "2",
+        ])
+        assert code in {0, 2, 3, 4, 5}
 
 
 class TestEntrypoint:

@@ -33,7 +33,7 @@ class TestVocabulary:
     def test_unk_is_id_zero(self):
         vocab = Vocabulary(["a", "b"])
         assert vocab.id_of(UNK_TOKEN) == 0
-        assert vocab.token_of(0) == UNK_TOKEN
+        assert vocab.tokens[0] == UNK_TOKEN
         assert len(vocab) == 3
 
     def test_lookup_falls_back_to_unk(self):
@@ -53,7 +53,7 @@ class TestVocabulary:
 
     def test_round_trip_and_equality(self):
         vocab = Vocabulary(["x", "y", "z"])
-        assert [vocab.token_of(vocab.id_of(t)) for t in ["x", "y", "z"]] == ["x", "y", "z"]
+        assert [vocab.tokens[vocab.id_of(t)] for t in ["x", "y", "z"]] == ["x", "y", "z"]
         assert vocab == Vocabulary(["x", "y", "z"])
         assert vocab != Vocabulary(["x", "z", "y"])
         assert list(vocab.tokens) == [UNK_TOKEN, "x", "y", "z"]
@@ -228,4 +228,4 @@ class TestBuildVocab:
         path = write_lines(tmp_path / "c.tsv", ["b a\tc c"])
         vocab = build_vocab(load_pairs(path), min_count=1)
         # c appears twice; a and b tie at one and sort alphabetically
-        assert [vocab.token_of(i) for i in range(4)] == [UNK_TOKEN, "c", "a", "b"]
+        assert [vocab.tokens[i] for i in range(4)] == [UNK_TOKEN, "c", "a", "b"]

@@ -96,6 +96,15 @@ class TestSaveTextEmbeddings:
         assert vocab2 == vocab
         assert np.max(np.abs(matrix2 - matrix)) <= 5e-7
 
+    def test_rows_render_each_value_at_six_decimals(self, tmp_path):
+        vocab = Vocabulary(["a", "b"])
+        matrix = np.array([[-0.0, 1e300, 5e-7], [-5e-7, 0.1234565, -2.5]] + [[1.0] * 3])
+        path = tmp_path / "emb.txt"
+        save_text_embeddings(vocab, matrix, str(path))
+        want = ["3 3"] + [tok + " " + " ".join(f"{x:.6f}" for x in row)
+                          for tok, row in zip(vocab.tokens, matrix)]
+        assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
+
     def test_save_load_save_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(4)
         vocab = Vocabulary(["a", "b", "c"])

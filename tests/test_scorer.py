@@ -170,6 +170,13 @@ class TestInitScorerParams:
         for (n1, t1), (_, t2) in zip(a.tensors(), b.tensors()):
             assert np.array_equal(t1, t2), n1
 
+    def test_names_order_and_draws_match_listed_layout(self):
+        got = list(init_scorer_params(4, 3, 5, np.random.default_rng(7)).tensors())
+        want = oracles.listed_scorer_init(4, 3, 5, np.random.default_rng(7))
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (name, g), (_, w) in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
     def test_biases_and_bilinear_start_at_zero(self):
         params = init_scorer_params(4, 3, 5, np.random.default_rng(2))
         assert np.all(params.bilinear == 0)
