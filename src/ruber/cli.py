@@ -318,6 +318,8 @@ def _cmd_report(o: dict) -> int:
         raise ConfigError(f"bins must be >= 1, got {o['bins']}")
     if o["jitter_sigma"] < 0:
         raise ConfigError(f"jitter_sigma must be >= 0, got {o['jitter_sigma']}")
+    if o["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {o['seed']}")
     table = scoretable.read_score_table(o["scores"])
     rep = report_mod.build_report(table)
     text = report_mod.format_report_text(rep)

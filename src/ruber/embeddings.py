@@ -152,6 +152,8 @@ def train_sgns(
         raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
     if lr <= 0:
         raise ConfigError(f"lr must be positive, got {lr}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     vocab = build_vocab(dataset, min_count=min_count)
     if len(vocab) < 2:

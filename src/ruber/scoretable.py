@@ -16,7 +16,7 @@ import numpy as np
 
 from .baselines import bleu, rouge_l
 from .blending import BlendStrategy, blend_series, normalize
-from .corpus import Dataset
+from .corpus import VALID_SCORES, Dataset
 from .errors import NumericalError, ParseError
 from .fileio import atomic_write
 from .referenced import referenced_score
@@ -201,6 +201,9 @@ def read_score_table(path) -> ScoreTable:
                                 for j in range(len(metric_names))])
         except ValueError as exc:
             raise ParseError(path, lineno, f"non-numeric cell: {exc}") from exc
+        bad = [v for v in human_rows[-1] if v not in VALID_SCORES]
+        if bad:
+            raise ParseError(path, lineno, f"human score {bad[0]} is not in {{0, 1, 2}}")
     human = np.array(human_rows, dtype=int)
     columns = np.array(metric_rows)
     metrics = {name: columns[:, j].copy() for j, name in enumerate(metric_names)}

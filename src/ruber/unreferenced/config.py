@@ -46,3 +46,5 @@ class TrainConfig:
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if self.eps <= 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")

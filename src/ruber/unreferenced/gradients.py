@@ -32,7 +32,8 @@ from .scorer import (
     GruParams,
     ScoreCache,
     ScorerParams,
-    _score_internal,
+    _encode_batch,
+    _head,
     score_with_cache,
     zero_scorer_params,
 )
@@ -67,15 +68,22 @@ def batch_loss(
     matrix: np.ndarray,
     config: TrainConfig,
 ) -> float:
-    """Mean margin loss over ``batch`` (forward passes only)."""
+    """Mean margin loss over ``batch`` (forward passes only).
+
+    Each query is encoded once and all replies together, so a batch
+    costs one recurrence per direction per encoder and one head call.
+    """
     if not batch:
         raise ValueError("batch must not be empty")
-    total = 0.0
-    for query, pos, neg in batch:
-        s_pos, _ = _score_internal(query, pos, params, vocab, matrix, config.max_len, False)
-        s_neg, _ = _score_internal(query, neg, params, vocab, matrix, config.max_len, False)
-        total += margin_loss(s_pos, s_neg, config.margin)
-    return total / len(batch)
+    queries, positives, negatives = zip(*batch)
+    qvecs = _encode_batch(queries, params.query_encoder, vocab, matrix, config.max_len)
+    rvecs = _encode_batch(positives + negatives, params.reply_encoder, vocab, matrix,
+                          config.max_len)
+    scores, _, _ = _head(np.concatenate([qvecs, qvecs]), rvecs, params)
+    n = len(batch)
+    total = sum(margin_loss(s_pos, s_neg, config.margin)
+                for s_pos, s_neg in zip(scores[:n], scores[n:]))
+    return total / n
 
 
 def compute_gradients(

@@ -27,9 +27,15 @@ _SCORE_MIN = 1e-300
 _SCORE_MAX = float(np.nextafter(1.0, 0.0))
 
 
-def sigmoid(x):
-    """Logistic function, stable for any magnitude (tanh form)."""
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=float)))
+def sigmoid(x, tanh=np.tanh):
+    """Logistic function, stable for any magnitude (tanh form).
+
+    ``x`` is an array, or a float with ``tanh=math.tanh``.  The two
+    tanh implementations can round differently in the last bit; the
+    scorer's output logistic uses ``math.tanh``, whose bits the scores
+    have always had.
+    """
+    return 0.5 * (1.0 + tanh(0.5 * x))
 
 
 class TensorTree:
@@ -177,14 +183,10 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams) -> np.ndarr
     Stacked reset/update gates from the input and previous state, a
     candidate state computed against the reset-scaled previous state,
     and a convex blend of old state and candidate driven by the update
-    gate.
+    gate.  This is a one-step call into :func:`_run_rows`.
     """
-    hidden = params.hidden_size
-    pre = params.w_gates @ x_t + params.b_gates + params.u_gates @ h_prev
-    gates = sigmoid(pre)
-    reset, update = gates[:hidden], gates[hidden:]
-    cand = np.tanh(params.w_cand @ x_t + params.b_cand + params.u_cand @ (reset * h_prev))
-    return (1.0 - update) * h_prev + update * cand
+    h, _ = _run_rows(np.reshape(x_t, (1, -1)), params, h_prev)
+    return h
 
 
 @dataclass
@@ -220,27 +222,33 @@ class ScoreCache:
     score: float
 
 
-def _run_direction(xs: np.ndarray, params: GruParams, collect: bool):
-    """Consume ``xs`` row by row from a zero state.
+def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, pad=None, collect=False):
+    """Run one GRU direction over time-major inputs from state ``h``.
 
-    Returns the final state and, when ``collect`` is set, the
-    :class:`DirectionCache` of every step (else None).  Input projections
-    for the whole sequence are batched up front; the recurrent part
-    stays a plain per-step loop.
+    ``xs`` is (T, d) for one row or (T, B, d) for B rows, and ``h`` is
+    (H,) or (B, H) to match.  The input projections of all steps are one
+    product each; the recurrence is a per-step loop.  ``pad`` (T, B)
+    marks the steps that lie outside a row: their update-gate
+    pre-activation is -inf, so the update gate is exactly 0 and the
+    state passes through unchanged.  Returns the final state and, when
+    ``collect`` is set (one row only), the :class:`DirectionCache` of
+    every step (else None).
     """
     hidden = params.hidden_size
     gate_in = xs @ params.w_gates.T + params.b_gates
     cand_in = xs @ params.w_cand.T + params.b_cand
-    h = np.zeros(hidden)
+    if pad is not None:
+        gate_in[pad, hidden:] = -np.inf
+    u_gates, u_cand = params.u_gates.T, params.u_cand.T
     cache = None
     if collect:
         stacked = (len(xs), hidden)
         cache = DirectionCache(xs, np.empty(stacked), np.empty(stacked),
                                np.empty(stacked), np.empty(stacked))
-    for t in range(xs.shape[0]):
-        gates = 0.5 * (1.0 + np.tanh(0.5 * (gate_in[t] + params.u_gates @ h)))
-        reset, update = gates[:hidden], gates[hidden:]
-        cand = np.tanh(cand_in[t] + params.u_cand @ (reset * h))
+    for t in range(len(xs)):
+        gates = sigmoid(gate_in[t] + h @ u_gates)
+        reset, update = gates[..., :hidden], gates[..., hidden:]
+        cand = np.tanh(cand_in[t] + (reset * h) @ u_cand)
         if collect:
             cache.h_prev[t] = h
             cache.reset[t] = reset
@@ -250,26 +258,52 @@ def _run_direction(xs: np.ndarray, params: GruParams, collect: bool):
     return h, cache
 
 
-def _encode_internal(
-    utterance: Utterance,
-    encoder: BiGruEncoder,
-    vocab: Vocabulary,
-    matrix: np.ndarray,
-    max_len: int,
-    collect: bool,
-):
+def _token_ids(utterance: Utterance, vocab: Vocabulary, max_len: int) -> list[int]:
+    """Ids of the first ``max_len`` tokens of a non-empty utterance."""
     if not utterance:
         raise ValueError("cannot encode an empty utterance")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.id_of(tok) for tok in utterance[:max_len]]
+    return [vocab.id_of(tok) for tok in utterance[:max_len]]
+
+
+def _encode_ids(ids, encoder: BiGruEncoder, matrix: np.ndarray, pad=None, collect=False):
+    """Sentence vectors of token-id rows.
+
+    ``ids`` is a list of T ids for one row, giving a (2H,) vector, or a
+    time-major (T, B) array with its ``pad`` mask, giving (B, 2H).  Both
+    directions start from a zero state; the backward one takes the steps
+    in reverse.  Returns the vectors and, when ``collect`` is set (one
+    row only), the :class:`EncodeCache` (else None).
+    """
     xs = matrix[ids]
-    h_fwd, fwd = _run_direction(xs, encoder.forward, collect)
-    h_bwd, bwd = _run_direction(xs[::-1], encoder.backward, collect)
-    vec = np.concatenate([h_fwd, h_bwd])
+    h0 = np.zeros(xs.shape[1:-1] + (encoder.hidden_size,))
+    h_fwd, fwd = _run_rows(xs, encoder.forward, h0, pad, collect)
+    back_pad = None if pad is None else pad[::-1]
+    h_bwd, bwd = _run_rows(xs[::-1], encoder.backward, h0, back_pad, collect)
+    vec = np.concatenate([h_fwd, h_bwd], axis=-1)
     if not collect:
         return vec, None
     return vec, EncodeCache(ids=ids, fwd=fwd, bwd=bwd, vec=vec)
+
+
+def _encode_batch(utterances, encoder: BiGruEncoder, vocab: Vocabulary,
+                  matrix: np.ndarray, max_len: int) -> np.ndarray:
+    """Sentence vectors (B, 2H) of ``utterances``, encoded together.
+
+    Shorter rows are left-padded to the longest, so every row ends at
+    the last step: the forward direction holds a padded row at the zero
+    state until the row starts, and the backward direction carries the
+    row's final state through the padding.
+    """
+    rows = [_token_ids(utt, vocab, max_len) for utt in utterances]
+    steps = max(map(len, rows))
+    ids = np.zeros((steps, len(rows)), dtype=np.intp)
+    for b, row in enumerate(rows):
+        ids[steps - len(row):, b] = row
+    pad = np.arange(steps)[:, None] < [steps - len(row) for row in rows]
+    vecs, _ = _encode_ids(ids, encoder, matrix, pad)
+    return vecs
 
 
 def encode(
@@ -284,8 +318,24 @@ def encode(
     The utterance is truncated to its first ``max_len`` tokens; both
     directions start from a zero state.
     """
-    vec, _ = _encode_internal(utterance, encoder, vocab, matrix, max_len, collect=False)
+    vec, _ = _encode_ids(_token_ids(utterance, vocab, max_len), encoder, matrix)
     return vec
+
+
+def _head(qvecs: np.ndarray, rvecs: np.ndarray, params: ScorerParams):
+    """Scores of query and reply sentence vectors, strictly inside (0, 1).
+
+    The vectors are (2H,) for one pair or (B, 2H) for B pairs.  Returns
+    ``(scores, feats, hidden)``: a list of floats, then the MLP input
+    features (..., 4H+1) and tanh activations (..., m) backprop needs.
+    """
+    quad = (qvecs @ params.bilinear)[..., None, :] @ rvecs[..., :, None]
+    feats = np.concatenate([qvecs, rvecs, quad[..., 0]], axis=-1)
+    hidden = np.tanh(feats @ params.mlp_hidden_w.T + params.mlp_hidden_b)
+    z = hidden @ params.mlp_out_w + params.mlp_out_b
+    scores = [min(max(sigmoid(v, math.tanh), _SCORE_MIN), _SCORE_MAX)
+              for v in z.ravel().tolist()]
+    return scores, feats, hidden
 
 
 def _score_internal(
@@ -297,14 +347,10 @@ def _score_internal(
     max_len: int,
     collect: bool,
 ):
-    qvec, qcache = _encode_internal(query, params.query_encoder, vocab, matrix, max_len, collect)
-    rvec, rcache = _encode_internal(reply, params.reply_encoder, vocab, matrix, max_len, collect)
-    quad = float(qvec @ params.bilinear @ rvec)
-    feats = np.concatenate([qvec, rvec, [quad]])
-    hidden = np.tanh(params.mlp_hidden_w @ feats + params.mlp_hidden_b)
-    z = float(params.mlp_out_w @ hidden) + float(params.mlp_out_b)
-    score = 0.5 * (1.0 + math.tanh(0.5 * z))
-    score = min(max(score, _SCORE_MIN), _SCORE_MAX)
+    qids, rids = _token_ids(query, vocab, max_len), _token_ids(reply, vocab, max_len)
+    qvec, qcache = _encode_ids(qids, params.query_encoder, matrix, collect=collect)
+    rvec, rcache = _encode_ids(rids, params.reply_encoder, matrix, collect=collect)
+    (score,), feats, hidden = _head(qvec, rvec, params)
     if not collect:
         return score, None
     return score, ScoreCache(qcache, rcache, feats, hidden, score)

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import rewrite_checkpoint_header, separable_corpus, write_lines
 from ruber.cli import main
@@ -399,6 +399,30 @@ class TestInputsEndInExitCodes:
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train-embeddings", "train-scorer", "report"])
+    def test_negative_seed_is_exit_2(self, pipeline, tmp_path, capsys, command):
+        argv = {
+            "train-embeddings": ["--corpus", pipeline["corpus"], "--out",
+                                 str(tmp_path / "v.txt"), "--min-count", "1"],
+            "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
+                             "--out", str(tmp_path / "s.ckpt"), "--epochs", "0"],
+            "report": ["--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
+                       "--scatter-dir", str(tmp_path / "scatter")],
+        }[command]
+        assert main([command, *argv, "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
+    def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, capsys, cell):
+        lines = open(pipeline["scores"]).read().splitlines()
+        first = next(i for i, line in enumerate(lines) if line[0].isdigit())
+        lines[first] = cell + lines[first][1:]
+        table = write_lines(tmp_path / "scores.tsv", lines)
+        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{table}:{first + 1}:" in err and "{0, 1, 2}" in err
+
     def test_literal_unk_token_in_corpus(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "unk.tsv", ["a <unk> b\tb a", "<unk> a\tb"] * 4)
         out = str(tmp_path / "emb.txt")
@@ -434,6 +458,84 @@ def _mutate(data: bytes, mutation) -> bytes:
     return data[:at] + payload + data[at:]
 
 
+_VALID_ANNOTATED = b"a b\tb\ta c\t1\t2\nc\ta\tb b\t0\t2\nb a c\tc\ta\t2\t1\n"
+
+# (position, payload): replace one data cell of a score table, position
+# wrapping modulo the number of cells
+_CELL = st.tuples(
+    st.integers(0, 200),
+    st.sampled_from(["", "nan", "-inf", "1e999", "3", "-1", "0.5", "x"])
+    | st.integers(-10**30, 10**30).map(str),
+)
+
+_CONTRACT = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _replace_cell(data: bytes, mutation) -> bytes:
+    index, payload = mutation
+    lines = data.decode("utf-8").split("\n")
+    body = [i for i, line in enumerate(lines) if line and line[0].isdigit()]
+    width = len(lines[body[0]].split("\t"))
+    row, col = divmod(index % (len(body) * width), width)
+    cells = lines[body[row]].split("\t")
+    cells[col] = payload
+    lines[body[row]] = "\t".join(cells)
+    return "\n".join(lines).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """Small valid inputs for every command, and the checkpoint and table they give."""
+    root = tmp_path_factory.mktemp("contract")
+    files = {name: root / name for name in
+             ("emb.txt", "corpus.tsv", "annotated.tsv", "scorer.ckpt", "scores.tsv")}
+    files["emb.txt"].write_bytes(_VALID_EMBEDDINGS)
+    files["corpus.tsv"].write_bytes(_VALID_CORPUS)
+    files["annotated.tsv"].write_bytes(_VALID_ANNOTATED)
+    assert main(["train-scorer", "--corpus", str(files["corpus.tsv"]),
+                 "--embeddings", str(files["emb.txt"]), "--out", str(files["scorer.ckpt"]),
+                 "--epochs", "0", "--hidden", "2", "--mlp-hidden", "2"]) == 0
+    assert main(["score", "--data", str(files["annotated.tsv"]),
+                 "--embeddings", str(files["emb.txt"]),
+                 "--checkpoint", str(files["scorer.ckpt"]),
+                 "--out", str(files["scores.tsv"])]) == 0
+    return {name: str(path) for name, path in files.items()}
+
+
+# Every command's options other than paths, at small sizes.  A config
+# file holds them all, and each drawn (key, value) replaces one of them.
+_CONFIG_BASE = {
+    "train-embeddings": dict(dim="2", window="1", negatives="1", epochs="1", lr="0.025",
+                             min_count="1", seed="1", format="tsv"),
+    "train-scorer": dict(hidden="2", mlp_hidden="2", margin="0.5", lr="0.001", epochs="1",
+                         batch_size="2", max_len="4", seed="1", format="tsv",
+                         fine_tune_embeddings="false"),
+    "score": dict(format="tsv", max_len="4", blend="all", allow_vocab_mismatch="false"),
+    "report": dict(bins="2", jitter_sigma="0.25", seed="0"),
+}
+_CONFIG_VALUE = st.sampled_from(
+    ["", "-1", "0", "1", "3", "0.5", "-0.5", "nan", "inf", "-inf", "1e308", "1e-320",
+     "abc", "true", "no", "tsv", "jsonl", "min", "geometric", "all"]
+)
+
+
+def _config_paths(command, files, out_dir):
+    return {
+        "train-embeddings": dict(corpus=files["corpus.tsv"], out=f"{out_dir}/v.txt"),
+        "train-scorer": dict(corpus=files["corpus.tsv"], embeddings=files["emb.txt"],
+                             out=f"{out_dir}/s.ckpt"),
+        "score": dict(data=files["annotated.tsv"], embeddings=files["emb.txt"],
+                      checkpoint=files["scorer.ckpt"], out=f"{out_dir}/scores.tsv"),
+        "report": dict(scores=files["scores.tsv"], out=f"{out_dir}/r.json",
+                       quantile_csv=f"{out_dir}/q.csv", scatter_dir=f"{out_dir}/scatter"),
+    }[command]
+
+
+# Inputs such as lr=1e308 or weights near the float32 limit overflow on
+# their way to exit 4; the contract is about exit codes, so numpy's
+# overflow warnings stay warnings here.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestExitCodeContract:
     @given(emb=_MUTATION, corpus=_MUTATION)
     @settings(max_examples=150, deadline=None,
@@ -448,6 +550,60 @@ class TestExitCodeContract:
             "--epochs", "0", "--hidden", "2", "--mlp-hidden", "2",
         ])
         assert code in {0, 2, 3, 4, 5}
+
+    @given(mutation=_MUTATION, header=st.none() | st.tuples(
+        st.sampled_from(["hidden", "mlp_hidden", "max_len", "seed", "margin", "lr",
+                         "embed_dim", "fine_tune_embeddings", "beta1", "eps"]),
+        st.integers(-3, 10**12) | st.floats() | st.booleans() | st.none() | st.text(max_size=3),
+    ))
+    @_CONTRACT
+    def test_mutated_checkpoint_ends_in_a_documented_code(
+        self, contract_files, tmp_path, mutation, header
+    ):
+        data = open(contract_files["scorer.ckpt"], "rb").read()
+        if header is not None:
+            data = rewrite_checkpoint_header(data, **dict([header]))
+        ckpt = tmp_path / "x.ckpt"
+        ckpt.write_bytes(_mutate(data, mutation))
+        code = main([
+            "score", "--data", contract_files["annotated.tsv"],
+            "--embeddings", contract_files["emb.txt"], "--checkpoint", str(ckpt),
+            "--out", str(tmp_path / "scores.tsv"),
+        ])
+        assert code in {0, 2, 3, 4, 5}
+
+    @given(mutation=_MUTATION, cell=st.none() | _CELL)
+    @example(mutation=None, cell=(0, "99999999999999999999999"))
+    @_CONTRACT
+    def test_mutated_score_table_ends_in_a_documented_code(
+        self, contract_files, tmp_path, mutation, cell
+    ):
+        data = open(contract_files["scores.tsv"], "rb").read()
+        if cell is not None:
+            data = _replace_cell(data, cell)
+        table = tmp_path / "scores.tsv"
+        table.write_bytes(_mutate(data, mutation))
+        code = main(["report", "--scores", str(table), "--out", str(tmp_path / "r.json"),
+                     "--quantile-csv", str(tmp_path / "q.csv")])
+        assert code in {0, 2, 3, 4, 5}
+
+    @given(command=st.sampled_from(sorted(_CONFIG_BASE)), changes=st.lists(
+        st.tuples(st.sampled_from(sorted({k for opts in _CONFIG_BASE.values() for k in opts})),
+                  _CONFIG_VALUE),
+        max_size=3,
+    ))
+    @example(command="train-embeddings", changes=[("seed", "-1")])
+    @example(command="train-scorer", changes=[("seed", "-1")])
+    @example(command="report", changes=[("seed", "-1")])
+    @_CONTRACT
+    def test_config_values_end_in_a_documented_code(
+        self, contract_files, tmp_path, command, changes
+    ):
+        options = dict(_CONFIG_BASE[command])
+        options.update((key, value) for key, value in changes if key in options)
+        options.update(_config_paths(command, contract_files, tmp_path))
+        cfg = write_lines(tmp_path / "opts.cfg", [f"{k} = {v}" for k, v in options.items()])
+        assert main([command, "--config", cfg]) in {0, 2, 3, 4, 5}
 
 
 class TestEntrypoint:

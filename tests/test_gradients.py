@@ -275,3 +275,75 @@ class TestAgainstLoopOracle:
             ("fine_tune", True), ("fine_tune", False), "benchmark dims", "truncated",
             "repeat within", "repeat across", "some hinges inactive",
         }
+
+
+# ---------------------------------------------------------------------------
+# batch_loss (rows encoded together) against the per-pair loop oracle
+
+BATCH_INSTANCES = 40
+
+
+def _batch_instance(index):
+    """A seeded (batch, params, vocab, matrix, config) of 1-5 triples.
+
+    Instance 0 runs at the benchmark's dimensions.  Every fourth
+    instance gives all utterances one length; the others draw ragged
+    lengths up to three tokens past ``max_len``.  Vocabularies of 3-6
+    tokens repeat ids within and across rows.  The margin is 2.0 (every
+    hinge active) or 0.05 (some satisfied) in turn.
+    """
+    rng = np.random.default_rng(9000 + index)
+    if index == 0:
+        dim, hidden, mlp, n_tokens, max_len = 50, 64, 128, 40, 30
+    else:
+        dim, hidden, mlp = (int(v) for v in rng.integers(2, 7, size=3))
+        n_tokens = int(rng.integers(3, 7))
+        max_len = int(rng.integers(2, 6))
+    vocab, matrix = toy_vocab_matrix(rng, n_tokens=n_tokens, dim=dim)
+    params = random_scorer_params(dim, hidden, mlp, rng)
+    n_triples = int(rng.integers(1, 6))
+    shortest, longest = 1, max_len + 3
+    if index % 4 == 1:
+        shortest = longest = int(rng.integers(1, max_len + 1))
+    batch = [tuple(random_utterance(rng, n_tokens, longest, min_tokens=shortest)
+                   for _ in range(3)) for _ in range(n_triples)]
+    config = TrainConfig(hidden=hidden, mlp_hidden=mlp, max_len=max_len,
+                         margin=2.0 if index % 2 == 0 else 0.05)
+    return batch, params, vocab, matrix, config
+
+
+def _loop_mean_hinge(batch, params, vocab, matrix, config):
+    total = 0.0
+    for query, pos, neg in batch:
+        s_pos, _ = oracles._loop_score(query, pos, params, vocab, matrix, config.max_len)
+        s_neg, _ = oracles._loop_score(query, neg, params, vocab, matrix, config.max_len)
+        total += max(0.0, config.margin - s_pos + s_neg)
+    return total / len(batch)
+
+
+class TestBatchLossAgainstLoopOracle:
+    @pytest.mark.parametrize("index", range(BATCH_INSTANCES))
+    def test_matches_mean_hinge_of_per_pair_scores(self, index):
+        batch, params, vocab, matrix, config = _batch_instance(index)
+        got = batch_loss(batch, params, vocab, matrix, config)
+        want = _loop_mean_hinge(batch, params, vocab, matrix, config)
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_instances_cover_the_listed_cases(self):
+        seen = set()
+        for index in range(BATCH_INSTANCES):
+            batch, params, vocab, matrix, config = _batch_instance(index)
+            rows = [u for triple in batch for u in triple]
+            lengths = {min(len(u), config.max_len) for u in rows}
+            seen.add("ragged" if len(lengths) > 1 else "equal lengths")
+            seen.add(("triples", len(batch)))
+            if any(len(u) > config.max_len for u in rows):
+                seen.add("truncated")
+            if any(len(set(u)) < len(u) for u in rows):
+                seen.add("repeat within")
+            if params.embed_dim == 50 and params.hidden_size == 64:
+                seen.add("benchmark dims")
+        assert seen >= {
+            "ragged", "equal lengths", "truncated", "repeat within", "benchmark dims",
+            *(("triples", n) for n in range(1, 6)),
+        }

@@ -14,7 +14,7 @@ from ruber.unreferenced import (
     unreferenced_score,
     zero_scorer_params,
 )
-from ruber.unreferenced.scorer import GruParams
+from ruber.unreferenced.scorer import GruParams, _encode_batch, _run_rows
 
 
 def _zero_gru(hidden=3, dim=4):
@@ -194,3 +194,42 @@ class TestInitScorerParams:
     def test_bad_sizes_rejected(self):
         with pytest.raises(ValueError):
             init_scorer_params(0, 3, 5, np.random.default_rng(0))
+
+
+class TestPaddedRows:
+    """Rows of unequal length encoded together, left-padded to the longest."""
+
+    def test_each_row_matches_its_one_row_encode(self):
+        rng = np.random.default_rng(42)
+        vocab, matrix = toy_vocab_matrix(rng, n_tokens=6, dim=4)
+        params = random_scorer_params(4, 3, 5, rng)
+        rows = [["t0", "t1", "t2", "t3", "t4", "t5"], ["t3"], ["t1", "t1", "t4"],
+                ["t5", "t0", "t2", "t2", "t1", "t3", "t4"]]
+        vecs = _encode_batch(rows, params.reply_encoder, vocab, matrix, max_len=6)
+        for row, vec in zip(rows, vecs):
+            want = encode(row, params.reply_encoder, vocab, matrix, max_len=6)
+            assert np.max(np.abs(vec - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_state_is_zero_before_a_row_starts_and_frozen_after_it_ends(self):
+        rng = np.random.default_rng(43)
+        direction = _random_gru(rng, 3, 4)
+        long, short = rng.normal(0, 1, (5, 4)), rng.normal(0, 1, (2, 4))
+        xs = np.stack([long, np.concatenate([np.ones((3, 4)), short])], axis=1)
+        pad = np.zeros((5, 2), dtype=bool)
+        pad[:3, 1] = True
+        h0 = np.zeros((2, 3))
+
+        def states(inputs, mask):
+            return [_run_rows(inputs[:t], direction, h0, mask[:t])[0][1]
+                    for t in range(1, len(inputs) + 1)]
+
+        forward = states(xs, pad)
+        for t in range(3):
+            assert np.all(forward[t] == 0.0) and not np.any(np.signbit(forward[t]))
+        assert_allclose(forward[-1], _run_rows(short, direction, np.zeros(3))[0], atol=1e-12)
+
+        backward = states(xs[::-1], pad[::-1])
+        for t in range(2, 5):
+            assert np.array_equal(backward[t], backward[1])
+        assert_allclose(backward[1], _run_rows(short[::-1], direction, np.zeros(3))[0],
+                        atol=1e-12)
