@@ -4,112 +4,27 @@ The referenced side compares a candidate reply against the ground-truth
 reply through pooled word embeddings; the unreferenced side scores
 query-reply relatedness with a trained recurrent matcher.  Both are
 normalized over the evaluation set and combined with simple blends.
+
+The package exports the names of the README's "Library use" example and
+:class:`RuberError`.  Everything else is imported from the module that
+defines it, for example ``ruber.corpus.load_pairs`` or
+``ruber.scoretable.compute_score_table``.
 """
 
-from .analysis import (
-    CorrelationResult,
-    InterAnnotatorResult,
-    correlate,
-    inter_annotator,
-    pearson,
-    quantile_bins,
-    scatter_points,
-    spearman,
-)
-from .baselines import bleu, rouge_l
-from .blending import BlendStrategy, blend, blend_series, normalize
-from .corpus import (
-    AnnotatedPair,
-    Dataset,
-    QueryReplyPair,
-    build_vocab,
-    load_annotated,
-    load_pairs,
-    tokenize,
-)
-from .embeddings import load_text_embeddings, save_text_embeddings, train_sgns
-from .errors import (
-    CheckpointFormatError,
-    CompatibilityError,
-    ConfigError,
-    NumericalError,
-    ParseError,
-    RuberError,
-    ValidationError,
-)
-from .referenced import pool, referenced_score
-from .report import CorrelationReport, build_report, format_report_text, report_to_json
-from .scoretable import ScoreTable, compute_score_table, read_score_table, write_score_table
-from .unreferenced import (
-    Checkpoint,
-    ScorerParams,
-    TrainConfig,
-    TrainingLog,
-    encode,
-    init_scorer_params,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    unreferenced_score,
-    vocab_content_hash,
-)
-from .vocabulary import UNK_TOKEN, Vocabulary
+from .blending import blend, normalize
+from .embeddings import load_text_embeddings
+from .errors import RuberError
+from .referenced import referenced_score
+from .unreferenced import load_checkpoint, unreferenced_score
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnotatedPair",
-    "BlendStrategy",
-    "Checkpoint",
-    "CheckpointFormatError",
-    "CompatibilityError",
-    "ConfigError",
-    "CorrelationReport",
-    "CorrelationResult",
-    "Dataset",
-    "InterAnnotatorResult",
-    "NumericalError",
-    "ParseError",
-    "QueryReplyPair",
     "RuberError",
-    "ScoreTable",
-    "ScorerParams",
-    "TrainConfig",
-    "TrainingLog",
-    "UNK_TOKEN",
-    "ValidationError",
-    "Vocabulary",
     "blend",
-    "blend_series",
-    "bleu",
-    "build_report",
-    "build_vocab",
-    "compute_score_table",
-    "correlate",
-    "encode",
-    "format_report_text",
-    "init_scorer_params",
-    "inter_annotator",
-    "load_annotated",
     "load_checkpoint",
-    "load_pairs",
     "load_text_embeddings",
     "normalize",
-    "pearson",
-    "pool",
-    "quantile_bins",
-    "read_score_table",
     "referenced_score",
-    "report_to_json",
-    "rouge_l",
-    "save_checkpoint",
-    "save_text_embeddings",
-    "scatter_points",
-    "spearman",
-    "tokenize",
-    "train",
-    "train_sgns",
     "unreferenced_score",
-    "vocab_content_hash",
-    "write_score_table",
 ]

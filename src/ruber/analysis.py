@@ -30,10 +30,7 @@ def pearson(x, y) -> tuple[float, float]:
     vector is constant the correlation is undefined and ``(nan, nan)``
     comes back instead of an exception.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"expected equal-length 1-d vectors, got {x.shape} and {y.shape}")
+    x, y = _vector_pair(x, y)
     n = x.size
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
@@ -50,11 +47,17 @@ def pearson(x, y) -> tuple[float, float]:
 
 def spearman(x, y) -> tuple[float, float]:
     """Spearman rho (Pearson on fractional ranks) and its t-transform p-value."""
+    x, y = _vector_pair(x, y)
+    return pearson(rankdata(x), rankdata(y))
+
+
+def _vector_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as float arrays; raises unless they are equal-length 1-d vectors."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"expected equal-length 1-d vectors, got {x.shape} and {y.shape}")
-    return pearson(rankdata(x), rankdata(y))
+    return x, y
 
 
 def rankdata(values) -> np.ndarray:
@@ -161,12 +164,7 @@ def correlate(metric, human) -> CorrelationResult:
     records how many survived.  Fewer than 3 usable rows, or a constant
     surviving vector, produce an undefined (NaN-valued) result.
     """
-    metric = np.asarray(metric, dtype=float)
-    human = np.asarray(human, dtype=float)
-    if metric.shape != human.shape or metric.ndim != 1:
-        raise ValueError(
-            f"expected equal-length 1-d vectors, got {metric.shape} and {human.shape}"
-        )
+    metric, human = _vector_pair(metric, human)
     mask = np.isfinite(metric) & np.isfinite(human)
     n_used = int(mask.sum())
     if n_used < 3:
@@ -239,24 +237,14 @@ def quantile_bins(human, metric, k: int = 5) -> np.ndarray:
     earlier groups take one extra row each.  Returns the k group means
     in ascending human-score order.
     """
-    human = np.asarray(human, dtype=float)
-    metric = np.asarray(metric, dtype=float)
-    if human.shape != metric.shape or human.ndim != 1:
-        raise ValueError("expected equal-length 1-d vectors")
+    human, metric = _vector_pair(human, metric)
     n = human.size
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n < k:
         raise ValueError(f"cannot cut {n} rows into {k} groups")
     order = np.argsort(human, kind="stable")
-    base, extra = divmod(n, k)
-    means = np.empty(k)
-    start = 0
-    for g in range(k):
-        size = base + (1 if g < extra else 0)
-        means[g] = metric[order[start:start + size]].mean()
-        start += size
-    return means
+    return np.array([metric[group].mean() for group in np.array_split(order, k)])
 
 
 def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndarray:
@@ -267,10 +255,7 @@ def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndar
     metric axis is untouched.  Deterministic per seed; ``sigma=0``
     returns the inputs exactly.
     """
-    human = np.asarray(human, dtype=float)
-    metric = np.asarray(metric, dtype=float)
-    if human.shape != metric.shape or human.ndim != 1:
-        raise ValueError("expected equal-length 1-d vectors")
+    human, metric = _vector_pair(human, metric)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     rng = np.random.default_rng(seed)

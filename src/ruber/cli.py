@@ -26,7 +26,7 @@ import numpy as np
 
 from . import analysis, report as report_mod, scoretable
 from .blending import BlendStrategy
-from .corpus import load_annotated, load_pairs
+from .corpus import FORMATS, load_annotated, load_pairs
 from .embeddings import load_text_embeddings, save_text_embeddings, train_sgns
 from .errors import (
     CheckpointFormatError,
@@ -66,9 +66,11 @@ class _Opt:
     help: str = ""
 
 
+_FORMAT = _Opt("format", str, default="tsv", choices=FORMATS, help="corpus layout")
+
 _COMMON_CORPUS = (
     _Opt("corpus", str, required=True, help="input corpus path"),
-    _Opt("format", str, default="tsv", choices=("tsv", "jsonl"), help="corpus layout"),
+    _FORMAT,
 )
 
 _COMMANDS: dict[str, tuple[_Opt, ...]] = {
@@ -98,7 +100,7 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
     ),
     "score": (
         _Opt("data", str, required=True, help="annotated corpus path"),
-        _Opt("format", str, default="tsv", choices=("tsv", "jsonl"), help="corpus layout"),
+        _FORMAT,
         _Opt("embeddings", str, required=True, help="embedding text file"),
         _Opt("checkpoint", str, required=True, help="trained scorer checkpoint"),
         _Opt("out", str, required=True, help="score table to write"),
@@ -331,7 +333,7 @@ def _cmd_report(o: dict) -> int:
     print(text, end="")
 
     human = table.human_mean
-    metric_names = [n for n in table.metrics if n not in ("ref_norm", "unref_norm")]
+    metric_names = [n for n in table.metrics if n not in report_mod.SKIPPED_COLUMNS]
     if o["quantile_csv"]:
         _write_quantile_csv(o["quantile_csv"], table, metric_names, human, o["bins"])
         print(f"quantile bins written to {o['quantile_csv']}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Union
 
 from .errors import ParseError, ValidationError
@@ -58,6 +58,17 @@ class AnnotatedPair:
 
 Pair = Union[QueryReplyPair, AnnotatedPair]
 
+# Per pair type: the error for a tsv row with too few fields, and the noun
+# for a file without one usable row.
+_ROW_TEXT = {
+    QueryReplyPair: ("expected at least 2 tab-separated fields, found {}", "query-reply"),
+    AnnotatedPair: (
+        "expected query, groundtruth, candidate and at least "
+        "one score column, found {} field(s)",
+        "annotated",
+    ),
+}
+
 
 @dataclass
 class Dataset:
@@ -87,33 +98,9 @@ def load_pairs(path, format: str = "tsv") -> Dataset:
 
     Rows whose query or reply tokenizes to nothing are skipped (counted
     on the returned dataset); malformed rows raise :class:`ParseError`
-    naming the line.
+    naming the line.  Extra tsv columns and extra JSON keys are ignored.
     """
-    _check_format(format)
-    pairs: list[QueryReplyPair] = []
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if format == "tsv":
-                fields = line.split("\t")
-                if len(fields) < 2:
-                    raise ParseError(
-                        path, lineno,
-                        f"expected at least 2 tab-separated fields, found {len(fields)}",
-                    )
-                query, reply = tokenize(fields[0]), tokenize(fields[1])
-            else:
-                obj = _parse_json_object(path, lineno, line)
-                query = tokenize(_json_text(obj, "query", path, lineno))
-                reply = tokenize(_json_text(obj, "reply", path, lineno))
-            if not query or not reply:
-                skipped += 1
-                continue
-            pairs.append(QueryReplyPair(query, reply))
-    if not pairs:
-        raise ValidationError(f"{path}: no usable query-reply pairs")
-    return Dataset(pairs, source=str(path), format=format, skipped=skipped)
+    return _load(path, format, QueryReplyPair)
 
 
 def load_annotated(path, format: str = "tsv") -> Dataset:
@@ -125,31 +112,43 @@ def load_annotated(path, format: str = "tsv") -> Dataset:
     tokenizes to nothing are skipped and counted, like in
     :func:`load_pairs`.
     """
-    _check_format(format)
-    pairs: list[AnnotatedPair] = []
+    return _load(path, format, AnnotatedPair)
+
+
+def _load(path, format: str, pair_type) -> Dataset:
+    """One ``pair_type`` per line; its utterance fields name the jsonl keys.
+
+    A row fails on its field count or keys, then on each score in turn,
+    then on its annotator count (0 for query-reply pairs); only a row
+    that passes them all is skipped for an empty utterance.
+    """
+    if format not in FORMATS:
+        raise ValueError(f"unknown corpus format {format!r}, expected one of {FORMATS}")
+    keys = [f.name for f in fields(pair_type) if f.type == "Utterance"]
+    n_keys = len(keys)
+    annotated = pair_type is AnnotatedPair
+    short_row, noun = _ROW_TEXT[pair_type]
+    pairs: list[Pair] = []
     skipped = 0
+    scores: list[int] = []  # stays empty for query-reply pairs
     n_annotators: int | None = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if format == "tsv":
-                fields = line.split("\t")
-                if len(fields) < 4:
-                    raise ParseError(
-                        path, lineno,
-                        "expected query, groundtruth, candidate and at least "
-                        f"one score column, found {len(fields)} field(s)",
-                    )
-                query = tokenize(fields[0])
-                groundtruth = tokenize(fields[1])
-                candidate = tokenize(fields[2])
-                scores = [_parse_score(text, path, lineno) for text in fields[3:]]
+                cells = line.split("\t")
+                if len(cells) < n_keys + annotated:  # and a score column
+                    raise ParseError(path, lineno, short_row.format(len(cells)))
+                texts = cells[:n_keys]
+                if annotated:
+                    scores = [_parse_score(text, path, lineno) for text in cells[n_keys:]]
             else:
                 obj = _parse_json_object(path, lineno, line)
-                query = tokenize(_json_text(obj, "query", path, lineno))
-                groundtruth = tokenize(_json_text(obj, "groundtruth", path, lineno))
-                candidate = tokenize(_json_text(obj, "candidate", path, lineno))
-                scores = _json_scores(obj, path, lineno)
+                texts = [_json_value(obj, key, str, "a string", path, lineno) for key in keys]
+                if annotated:
+                    items = _json_value(obj, "scores", list, "an array", path, lineno)
+                    scores = [_json_score(item, path, lineno) for item in items]
+            utterances = [tokenize(text) for text in texts]
             if n_annotators is None:
                 n_annotators = len(scores)
             elif len(scores) != n_annotators:
@@ -157,12 +156,12 @@ def load_annotated(path, format: str = "tsv") -> Dataset:
                     f"{path}:{lineno}: annotator count changed from "
                     f"{n_annotators} to {len(scores)}"
                 )
-            if not query or not groundtruth or not candidate:
+            if not all(utterances):
                 skipped += 1
                 continue
-            pairs.append(AnnotatedPair(query, groundtruth, candidate, scores))
+            pairs.append(pair_type(*utterances, scores) if annotated else pair_type(*utterances))
     if not pairs:
-        raise ValidationError(f"{path}: no usable annotated pairs")
+        raise ValidationError(f"{path}: no usable {noun} pairs")
     return Dataset(pairs, source=str(path), format=format, skipped=skipped)
 
 
@@ -195,11 +194,6 @@ def utterances_of(pair: Pair) -> tuple[Utterance, ...]:
     return (pair.query, pair.reply)
 
 
-def _check_format(format: str) -> None:
-    if format not in FORMATS:
-        raise ValueError(f"unknown corpus format {format!r}, expected one of {FORMATS}")
-
-
 def _parse_json_object(path, lineno: int, line: str) -> dict:
     try:
         obj = json.loads(line)
@@ -210,27 +204,19 @@ def _parse_json_object(path, lineno: int, line: str) -> dict:
     return obj
 
 
-def _json_text(obj: dict, key: str, path, lineno: int) -> str:
+def _json_value(obj: dict, key: str, kind: type, noun: str, path, lineno: int):
     if key not in obj:
         raise ParseError(path, lineno, f"missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, str):
-        raise ParseError(path, lineno, f"key {key!r} must hold a string")
+    if not isinstance(value, kind):
+        raise ParseError(path, lineno, f"key {key!r} must hold {noun}")
     return value
 
 
-def _json_scores(obj: dict, path, lineno: int) -> list[int]:
-    if "scores" not in obj:
-        raise ParseError(path, lineno, "missing key 'scores'")
-    value = obj["scores"]
-    if not isinstance(value, list):
-        raise ParseError(path, lineno, "key 'scores' must hold an array")
-    scores = []
-    for item in value:
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ParseError(path, lineno, f"score {item!r} is not an integer")
-        scores.append(_check_score(item, path, lineno))
-    return scores
+def _json_score(item, path, lineno: int) -> int:
+    if isinstance(item, bool) or not isinstance(item, int):
+        raise ParseError(path, lineno, f"score {item!r} is not an integer")
+    return _check_score(item, path, lineno)
 
 
 def _parse_score(text: str, path, lineno: int) -> int:

@@ -35,7 +35,9 @@ REPORT_ROWS = (
     "ruber_max",
 )
 
-_SKIPPED_COLUMNS = ("ref_norm", "unref_norm")
+# Score-table columns left out of the report and of the CLI's figure
+# exports, for the reason above.
+SKIPPED_COLUMNS = ("ref_norm", "unref_norm")
 
 
 @dataclass
@@ -58,7 +60,7 @@ def build_report(table: ScoreTable) -> CorrelationReport:
         rows["human_max"] = agreement.maximum
         excluded = agreement.excluded
     for name, values in table.metrics.items():
-        if name in _SKIPPED_COLUMNS:
+        if name in SKIPPED_COLUMNS:
             continue
         rows[name] = correlate(values, human)
     ordered = {name: rows[name] for name in REPORT_ROWS if name in rows}

@@ -39,14 +39,6 @@ METRIC_COLUMNS = (
     "rouge_l",
 )
 
-_BLEND_COLUMN = {
-    BlendStrategy.MIN: "ruber_min",
-    BlendStrategy.GEOMETRIC: "ruber_geometric",
-    BlendStrategy.ARITHMETIC: "ruber_arithmetic",
-    BlendStrategy.MAX: "ruber_max",
-}
-
-
 @dataclass
 class ScoreTable:
     """Everything cmd-level reporting needs, one row per pair."""
@@ -109,7 +101,7 @@ def compute_score_table(
         "unref_norm": unref_norm,
     }
     for strategy in blends:
-        metrics[_BLEND_COLUMN[strategy]] = blend_series(ref_norm, unref_norm, strategy)
+        metrics["ruber_" + strategy.value] = blend_series(ref_norm, unref_norm, strategy)
     for k in (1, 2, 3, 4):
         metrics[f"bleu_{k}"] = bleus[k]
     metrics["rouge_l"] = rouge

@@ -1,44 +1,26 @@
-"""Learned unreferenced relatedness scorer: model, training, persistence."""
+"""Learned unreferenced relatedness scorer: model, training, persistence.
 
-from .checkpoint import (
-    Checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-    vocab_content_hash,
-)
+Other names, such as the tensor classes, come from their own modules.
+"""
+
+from .checkpoint import load_checkpoint, save_checkpoint, vocab_content_hash
 from .config import TrainConfig
-from .gradients import Gradients, batch_loss, compute_gradients, margin_loss
+from .gradients import batch_loss, compute_gradients, margin_loss
 from .scorer import (
-    BiGruEncoder,
-    GruParams,
     ScorerParams,
     encode,
     gru_step,
     init_scorer_params,
-    score_with_cache,
     sigmoid,
     unreferenced_score,
     zero_scorer_params,
 )
-from .training import (
-    AdamState,
-    EpochStats,
-    TrainingLog,
-    adam_step,
-    sample_negative,
-    train,
-)
+from .training import AdamState, adam_step, sample_negative, train
 
 __all__ = [
     "AdamState",
-    "BiGruEncoder",
-    "Checkpoint",
-    "EpochStats",
-    "Gradients",
-    "GruParams",
     "ScorerParams",
     "TrainConfig",
-    "TrainingLog",
     "adam_step",
     "batch_loss",
     "compute_gradients",
@@ -49,7 +31,6 @@ __all__ = [
     "margin_loss",
     "sample_negative",
     "save_checkpoint",
-    "score_with_cache",
     "sigmoid",
     "train",
     "unreferenced_score",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus import Utterance
-from ..errors import ValidationError
+from ..errors import NumericalError, ValidationError
 from ..vocabulary import Vocabulary
 from .config import TrainConfig
 from .gradients import Gradients, compute_gradients
@@ -119,7 +119,9 @@ def train(
     untouched with an empty log.
 
     When ``config.fine_tune_embeddings`` is set, ``matrix`` is updated
-    in place alongside the scorer parameters.
+    in place alongside the scorer parameters.  An epoch whose updates
+    leave any of these tensors non-finite raises
+    :class:`~ruber.errors.NumericalError`.
     """
     config.validate()
     matrix = np.asarray(matrix, dtype=float)
@@ -154,6 +156,11 @@ def train(
             loss_sum += mean_loss * len(chunk)
             adam_step(params, grads, state, config,
                       matrix if config.fine_tune_embeddings else None)
+        # a diverged model would otherwise score its holdout and be saved
+        tuned = [("fine-tuned embeddings", matrix)] if config.fine_tune_embeddings else []
+        for name, arr in [*params.tensors(), *tuned]:
+            if not np.all(np.isfinite(arr)):
+                raise NumericalError(f"epoch {epoch}: {name} is non-finite after the updates")
         accuracy = _holdout_accuracy(
             holdout, params, vocab, matrix, config,
             np.random.default_rng([config.seed, epoch]),

@@ -152,6 +152,26 @@ class TestTrainScorer:
         _, tuned = load_text_embeddings(ckpt + ".embeddings.txt")
         assert not np.array_equal(original, tuned)
 
+    # lr=inf times a zero moment is NaN, which numpy reports on its way
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_non_finite_update_is_exit_4(self, tmp_path, capsys, fine_tune):
+        """One Adam step at lr=inf diverges: exit 4 and nothing written."""
+        corpus, emb, _, _ = _write_training_corpus(tmp_path, n=40)
+        ckpt = tmp_path / "inf.ckpt"
+        argv = [
+            "train-scorer", "--corpus", corpus, "--embeddings", emb,
+            "--out", str(ckpt), "--hidden", "4", "--mlp-hidden", "6",
+            "--epochs", "1", "--batch-size", "64", "--lr", "inf",
+        ]
+        if fine_tune:
+            argv.append("--fine-tune-embeddings")
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert "epoch 1" in err and "non-finite" in err
+        assert "holdout_acc" not in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "train.tsv"]
+
 
 class TestScore:
     def test_table_shape(self, pipeline, capsys):

@@ -100,6 +100,14 @@ class TestLoadPairsTsv:
         with pytest.raises(OSError):
             load_pairs(str(tmp_path / "nope.tsv"))
 
+    def test_extra_columns_ignored(self, tmp_path):
+        path = write_lines(tmp_path / "pairs.tsv", ["a b\tc\t9", "d\te\tnot a score\t"])
+        ds = load_pairs(path)
+        assert list(ds) == [
+            QueryReplyPair(["a", "b"], ["c"]),
+            QueryReplyPair(["d"], ["e"]),
+        ]
+
     def test_load_order_is_stable(self, tmp_path):
         rows = [f"q{i}\tr{i}" for i in range(20)]
         path = write_lines(tmp_path / "stable.tsv", rows)
@@ -139,6 +147,13 @@ class TestLoadPairsJsonl:
         with pytest.raises(ParseError):
             load_pairs(path, format="jsonl")
 
+    def test_extra_keys_ignored(self, tmp_path):
+        path = write_lines(tmp_path / "pairs.jsonl", [
+            json.dumps({"query": "a b", "reply": "c", "scores": [9, "x"], "id": 7}),
+        ])
+        ds = load_pairs(path, format="jsonl")
+        assert list(ds) == [QueryReplyPair(["a", "b"], ["c"])]
+
     def test_unknown_format_rejected(self, tmp_path):
         path = write_lines(tmp_path / "pairs.tsv", ["a\tb"])
         with pytest.raises(ValueError):
@@ -177,6 +192,16 @@ class TestLoadAnnotated:
             load_annotated(path)
         message = str(err.value)
         assert "3" in message and "2" in message
+
+    def test_row_errors_keep_their_order(self, tmp_path):
+        """A score off the scale wins over a later unparsable one, and an
+        annotator count change wins over the skip of an empty utterance."""
+        path = write_lines(tmp_path / "a.tsv", ["q\tg\tc\t5\tx"])
+        with pytest.raises(ValidationError, match="outside the allowed scale"):
+            load_annotated(path)
+        path = write_lines(tmp_path / "b.tsv", ["q\tg\tc\t1", "\tg\tc\t1\t2"])
+        with pytest.raises(ValidationError, match="annotator count changed"):
+            load_annotated(path)
 
     def test_too_few_fields(self, tmp_path):
         path = write_lines(tmp_path / "ann.tsv", ["q\tg\tc"])
