@@ -18,6 +18,9 @@ import numpy as np
 
 from .fileio import atomic_write
 
+_BETA_CF_MAX_ITER = 300
+_BETA_CF_EPS = 3e-16
+
 
 # ---------------------------------------------------------------------------
 # correlation coefficients
@@ -103,7 +106,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
-def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-16) -> float:
+def _beta_cf(a: float, b: float, x: float) -> float:
     tiny = 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
@@ -112,28 +115,21 @@ def _beta_cf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, max_iter + 1):
+    for m in range(1, _BETA_CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
+        # the even and the odd coefficient of term m, one Lentz update each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < _BETA_CF_EPS:
             return h
     raise ArithmeticError("incomplete beta continued fraction failed to converge")
 
@@ -183,7 +179,6 @@ class InterAnnotatorResult:
     per_annotator: list[CorrelationResult]
     average: CorrelationResult
     maximum: CorrelationResult
-    median: CorrelationResult
     excluded: list[int]  # annotator indices with undefined one-vs-rest results
 
 
@@ -207,7 +202,7 @@ def inter_annotator(scores) -> InterAnnotatorResult:
     excluded = [i for i, res in enumerate(results) if not res.defined]
     if not defined:
         nan_result = CorrelationResult(n_used=n_pairs)
-        return InterAnnotatorResult(results, nan_result, nan_result, nan_result, excluded)
+        return InterAnnotatorResult(results, nan_result, nan_result, excluded)
 
     def summarize(reduce) -> CorrelationResult:
         r = float(reduce([res.pearson_r for res in defined]))
@@ -220,7 +215,6 @@ def inter_annotator(scores) -> InterAnnotatorResult:
         per_annotator=results,
         average=summarize(np.mean),
         maximum=summarize(np.max),
-        median=summarize(np.median),
         excluded=excluded,
     )
 
@@ -263,7 +257,7 @@ def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndar
     return np.column_stack([jittered, metric])
 
 
-def write_scatter_csv(path, human, metric, sigma: float = 0.25, seed: int = 0) -> None:
+def write_scatter_csv(path, human, metric, sigma: float, seed: int) -> None:
     """Write :func:`scatter_points` output as ``human,metric`` CSV rows."""
     points = scatter_points(human, metric, sigma, seed)
     with atomic_write(path) as fh:

@@ -17,9 +17,10 @@ failures, and 5 on checkpoint/vocabulary compatibility refusals.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,16 @@ class _Opt:
     help: str = ""
 
 
+def _keyword_defaults(fn) -> dict:
+    """``fn``'s keyword defaults: the library writes each default once."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty}
+
+
+_SGNS = _keyword_defaults(train_sgns)
+_BINS = _keyword_defaults(analysis.quantile_bins)
+_SCATTER = _keyword_defaults(analysis.scatter_points)
+
 _FORMAT = _Opt("format", str, default="tsv", choices=FORMATS, help="corpus layout")
 
 _COMMON_CORPUS = (
@@ -76,25 +87,25 @@ _COMMON_CORPUS = (
 _COMMANDS: dict[str, tuple[_Opt, ...]] = {
     "train-embeddings": _COMMON_CORPUS + (
         _Opt("out", str, required=True, help="embedding text file to write"),
-        _Opt("dim", int, 50, help="embedding dimensionality"),
-        _Opt("window", int, 5, help="maximum context radius"),
-        _Opt("negatives", int, 5, help="noise words per positive"),
-        _Opt("epochs", int, 5, help="passes over the corpus"),
-        _Opt("lr", float, 0.025, help="starting learning rate"),
-        _Opt("min_count", int, 5, help="discard tokens seen fewer times"),
-        _Opt("seed", int, 1, help="rng seed"),
+        _Opt("dim", int, _SGNS["dim"], help="embedding dimensionality"),
+        _Opt("window", int, _SGNS["window"], help="maximum context radius"),
+        _Opt("negatives", int, _SGNS["negatives"], help="noise words per positive"),
+        _Opt("epochs", int, _SGNS["epochs"], help="passes over the corpus"),
+        _Opt("lr", float, _SGNS["lr"], help="starting learning rate"),
+        _Opt("min_count", int, _SGNS["min_count"], help="discard tokens seen fewer times"),
+        _Opt("seed", int, _SGNS["seed"], help="rng seed"),
     ),
     "train-scorer": _COMMON_CORPUS + (
         _Opt("embeddings", str, required=True, help="embedding text file"),
         _Opt("out", str, required=True, help="checkpoint path to write"),
-        _Opt("hidden", int, 64, help="GRU state size per direction"),
-        _Opt("mlp_hidden", int, 128, help="MLP hidden width"),
-        _Opt("margin", float, 0.5, help="ranking margin"),
-        _Opt("lr", float, 1e-3, help="Adam learning rate"),
-        _Opt("epochs", int, 5, help="training epochs"),
-        _Opt("batch_size", int, 64, help="samples per update"),
-        _Opt("max_len", int, 50, help="utterance truncation length"),
-        _Opt("seed", int, 1, help="rng seed"),
+        _Opt("hidden", int, TrainConfig.hidden, help="GRU state size per direction"),
+        _Opt("mlp_hidden", int, TrainConfig.mlp_hidden, help="MLP hidden width"),
+        _Opt("margin", float, TrainConfig.margin, help="ranking margin"),
+        _Opt("lr", float, TrainConfig.lr, help="Adam learning rate"),
+        _Opt("epochs", int, TrainConfig.epochs, help="training epochs"),
+        _Opt("batch_size", int, TrainConfig.batch_size, help="samples per update"),
+        _Opt("max_len", int, TrainConfig.max_len, help="utterance truncation length"),
+        _Opt("seed", int, TrainConfig.seed, help="rng seed"),
         _Opt("fine_tune_embeddings", flag=True,
              help="also train word vectors (writes <out>.embeddings.txt)"),
     ),
@@ -117,9 +128,9 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("text_out", str, help="also write the text table here"),
         _Opt("quantile_csv", str, help="write per-bin mean metric CSV here"),
         _Opt("scatter_dir", str, help="write per-metric scatter CSVs here"),
-        _Opt("bins", int, 5, help="quantile group count"),
-        _Opt("jitter_sigma", float, 0.25, help="scatter jitter std dev"),
-        _Opt("seed", int, 0, help="rng seed for scatter jitter"),
+        _Opt("bins", int, _BINS["k"], help="quantile group count"),
+        _Opt("jitter_sigma", float, _SCATTER["sigma"], help="scatter jitter std dev"),
+        _Opt("seed", int, _SCATTER["seed"], help="rng seed for scatter jitter"),
     ),
 }
 
@@ -247,11 +258,7 @@ def _cmd_train_embeddings(o: dict) -> int:
     _echo_config("train-embeddings", o)
     started = time.perf_counter()
     dataset = load_pairs(o["corpus"], o["format"])
-    vocab, matrix = train_sgns(
-        dataset,
-        dim=o["dim"], window=o["window"], negatives=o["negatives"],
-        epochs=o["epochs"], lr=o["lr"], min_count=o["min_count"], seed=o["seed"],
-    )
+    vocab, matrix = train_sgns(dataset, **{name: o[name] for name in _SGNS})
     save_text_embeddings(vocab, matrix, o["out"])
     duration = time.perf_counter() - started
     print(f"vocab={len(vocab)} dim={o['dim']} duration={duration:.2f}s")
@@ -260,12 +267,7 @@ def _cmd_train_embeddings(o: dict) -> int:
 
 def _cmd_train_scorer(o: dict) -> int:
     _echo_config("train-scorer", o)
-    config = TrainConfig(
-        hidden=o["hidden"], mlp_hidden=o["mlp_hidden"], margin=o["margin"],
-        lr=o["lr"], epochs=o["epochs"], batch_size=o["batch_size"],
-        max_len=o["max_len"], seed=o["seed"],
-        fine_tune_embeddings=o["fine_tune_embeddings"],
-    )
+    config = TrainConfig(**{f.name: o[f.name] for f in fields(TrainConfig) if f.name in o})
     config.validate()
     dataset = load_pairs(o["corpus"], o["format"])
     vocab, matrix = load_text_embeddings(o["embeddings"])

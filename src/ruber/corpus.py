@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Iterator, Union
 
 from .errors import ParseError, ValidationError
@@ -124,8 +125,7 @@ def _load(path, format: str, pair_type) -> Dataset:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}, expected one of {FORMATS}")
-    keys = [f.name for f in fields(pair_type) if f.type == "Utterance"]
-    n_keys = len(keys)
+    keys = _utterance_fields(pair_type)
     annotated = pair_type is AnnotatedPair
     short_row, noun = _ROW_TEXT[pair_type]
     pairs: list[Pair] = []
@@ -137,11 +137,11 @@ def _load(path, format: str, pair_type) -> Dataset:
             line = raw.rstrip("\n")
             if format == "tsv":
                 cells = line.split("\t")
-                if len(cells) < n_keys + annotated:  # and a score column
+                if len(cells) < len(keys) + annotated:  # and a score column
                     raise ParseError(path, lineno, short_row.format(len(cells)))
-                texts = cells[:n_keys]
+                texts = cells[:len(keys)]
                 if annotated:
-                    scores = [_parse_score(text, path, lineno) for text in cells[n_keys:]]
+                    scores = [_parse_score(text, path, lineno) for text in cells[len(keys):]]
             else:
                 obj = _parse_json_object(path, lineno, line)
                 texts = [_json_value(obj, key, str, "a string", path, lineno) for key in keys]
@@ -189,9 +189,13 @@ def build_vocab(dataset: Dataset, min_count: int = 1) -> Vocabulary:
 
 def utterances_of(pair: Pair) -> tuple[Utterance, ...]:
     """All utterance fields of a pair, in declaration order."""
-    if isinstance(pair, AnnotatedPair):
-        return (pair.query, pair.groundtruth, pair.candidate)
-    return (pair.query, pair.reply)
+    return tuple(getattr(pair, name) for name in _utterance_fields(type(pair)))
+
+
+@cache
+def _utterance_fields(pair_type) -> tuple[str, ...]:
+    """Names of the ``Utterance`` fields of a pair type, in declaration order."""
+    return tuple(f.name for f in fields(pair_type) if f.type == "Utterance")
 
 
 def _parse_json_object(path, lineno: int, line: str) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 from .analysis import CorrelationResult, correlate, inter_annotator
 from .scoretable import ScoreTable
@@ -88,14 +88,8 @@ def format_report_text(report: CorrelationReport) -> str:
     widths = (16, 12, 12, 12, 12, 6)
     lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
     for name, res in report.rows.items():
-        cells = (
-            name,
-            _fmt(res.pearson_r),
-            _fmt(res.pearson_p),
-            _fmt(res.spearman_rho),
-            _fmt(res.spearman_p),
-            str(res.n_used),
-        )
+        *coefficients, n_used = astuple(res)  # field order is the column order
+        cells = (name, *map(_fmt, coefficients), str(n_used))
         lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
@@ -111,13 +105,7 @@ def report_to_json(report: CorrelationReport) -> str:
         },
         "excluded_annotators": report.excluded_annotators,
         "rows": {
-            name: {
-                "pearson_r": _jsonable(res.pearson_r),
-                "pearson_p": _jsonable(res.pearson_p),
-                "spearman_rho": _jsonable(res.spearman_rho),
-                "spearman_p": _jsonable(res.spearman_p),
-                "n_used": res.n_used,
-            }
+            name: {key: _jsonable(value) for key, value in asdict(res).items()}
             for name, res in report.rows.items()
         },
     }
@@ -128,5 +116,5 @@ def _fmt(value: float) -> str:
     return "undefined" if math.isnan(value) else f"{value:.4f}"
 
 
-def _jsonable(value: float):
+def _jsonable(value):
     return None if math.isnan(value) else value

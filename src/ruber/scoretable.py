@@ -20,7 +20,7 @@ from .corpus import VALID_SCORES, Dataset
 from .errors import NumericalError, ParseError
 from .fileio import atomic_write
 from .referenced import referenced_score
-from .unreferenced import ScorerParams, unreferenced_score
+from .unreferenced import ScorerParams, TrainConfig, unreferenced_score
 from .vocabulary import Vocabulary
 
 METRIC_COLUMNS = (
@@ -66,7 +66,7 @@ def compute_score_table(
     vocab: Vocabulary,
     matrix: np.ndarray,
     params: ScorerParams,
-    max_len: int = 50,
+    max_len: int = TrainConfig.max_len,
     blends=tuple(BlendStrategy),
 ) -> ScoreTable:
     """Score every annotated pair with every metric.
@@ -77,19 +77,10 @@ def compute_score_table(
     :class:`~ruber.errors.NumericalError`.
     """
     blends = tuple(BlendStrategy(b) for b in blends)
-    ref = np.empty(len(dataset))
-    unref = np.empty(len(dataset))
-    bleus = {k: np.empty(len(dataset)) for k in (1, 2, 3, 4)}
-    rouge = np.empty(len(dataset))
-    humans = []
-    for i, pair in enumerate(dataset):
-        ref[i] = referenced_score(pair.groundtruth, pair.candidate, vocab, matrix)
-        unref[i] = unreferenced_score(pair.query, pair.candidate, params, vocab, matrix, max_len)
-        for k in bleus:
-            bleus[k][i] = bleu(pair.candidate, pair.groundtruth, k)
-        rouge[i] = rouge_l(pair.candidate, pair.groundtruth)
-        humans.append(list(pair.human_scores))
-
+    ref = np.fromiter((referenced_score(p.groundtruth, p.candidate, vocab, matrix)
+                       for p in dataset), float)
+    unref = np.fromiter((unreferenced_score(p.query, p.candidate, params, vocab, matrix, max_len)
+                         for p in dataset), float)
     _require_finite("ref_score", ref)
     _require_finite("unref_score", unref)
     ref_norm = normalize(ref)
@@ -103,12 +94,14 @@ def compute_score_table(
     for strategy in blends:
         metrics["ruber_" + strategy.value] = blend_series(ref_norm, unref_norm, strategy)
     for k in (1, 2, 3, 4):
-        metrics[f"bleu_{k}"] = bleus[k]
-    metrics["rouge_l"] = rouge
+        metrics[f"bleu_{k}"] = np.fromiter((bleu(p.candidate, p.groundtruth, k)
+                                            for p in dataset), float)
+    metrics["rouge_l"] = np.fromiter((rouge_l(p.candidate, p.groundtruth)
+                                      for p in dataset), float)
 
     ordered = {name: metrics[name] for name in METRIC_COLUMNS if name in metrics}
     return ScoreTable(
-        human_scores=np.array(humans, dtype=int),
+        human_scores=np.array([p.human_scores for p in dataset], dtype=int),
         metrics=ordered,
         normalization={
             "ref_score": (float(ref.min()), float(ref.max())),

@@ -146,8 +146,7 @@ def load_checkpoint(
             raise CheckpointFormatError(
                 f"{path}: tensor {name} has shape {shape}, expected {arr.shape}"
             )
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = reader.take(4 * count)
+        raw = reader.take(4 * math.prod(shape))
         arr[...] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(float)
 
     if (

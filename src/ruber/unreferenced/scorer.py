@@ -20,6 +20,7 @@ import numpy as np
 
 from ..corpus import Utterance
 from ..vocabulary import Vocabulary
+from .config import TrainConfig
 
 # Open-interval guards: the logistic saturates in float64 for |z| > ~37,
 # but callers may rely on scores never being exactly 0 or 1.
@@ -311,7 +312,7 @@ def encode(
     encoder: BiGruEncoder,
     vocab: Vocabulary,
     matrix: np.ndarray,
-    max_len: int = 50,
+    max_len: int = TrainConfig.max_len,
 ) -> np.ndarray:
     """Sentence vector: final forward state followed by final backward state.
 
@@ -362,7 +363,7 @@ def unreferenced_score(
     params: ScorerParams,
     vocab: Vocabulary,
     matrix: np.ndarray,
-    max_len: int = 50,
+    max_len: int = TrainConfig.max_len,
 ) -> float:
     """Relatedness of ``reply`` to ``query``, strictly inside (0, 1).
 
@@ -379,7 +380,7 @@ def score_with_cache(
     params: ScorerParams,
     vocab: Vocabulary,
     matrix: np.ndarray,
-    max_len: int = 50,
+    max_len: int = TrainConfig.max_len,
 ) -> tuple[float, ScoreCache]:
     """Like :func:`unreferenced_score` but keeps everything backprop needs."""
     return _score_internal(query, reply, params, vocab, matrix, max_len, collect=True)

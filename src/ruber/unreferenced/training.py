@@ -66,13 +66,13 @@ class TrainingLog:
 
 
 class AdamState:
-    """First/second moment accumulators, aligned with ``params.tensors()``."""
+    """Adam moments of each of ``params.tensors()``, then of the embedding matrix if given."""
 
     def __init__(self, params: ScorerParams, embeddings_shape=None):
-        self.m = [np.zeros_like(arr) for _, arr in params.tensors()]
-        self.v = [np.zeros_like(arr) for _, arr in params.tensors()]
-        self.m_emb = np.zeros(embeddings_shape) if embeddings_shape else None
-        self.v_emb = np.zeros(embeddings_shape) if embeddings_shape else None
+        shapes = [arr.shape for _, arr in params.tensors()]
+        shapes += [embeddings_shape] if embeddings_shape else []
+        self.m = [np.zeros(shape) for shape in shapes]
+        self.v = [np.zeros(shape) for shape in shapes]
         self.t = 0
 
 
@@ -84,25 +84,21 @@ def adam_step(
     matrix: np.ndarray | None = None,
 ) -> None:
     """One bias-corrected Adam update, in place."""
+    pairs = [(arr, grad) for (_, arr), (_, grad)
+             in zip(params.tensors(), grads.scorer.tensors())]
+    if grads.embeddings is not None:
+        if matrix is None or len(state.m) == len(pairs):
+            raise ValueError("embedding gradients supplied without embedding state")
+        pairs.append((matrix, grads.embeddings))
     state.t += 1
     c1 = 1.0 - config.beta1 ** state.t
     c2 = 1.0 - config.beta2 ** state.t
-
-    def update(arr, grad, m, v):
+    for (arr, grad), m, v in zip(pairs, state.m, state.v):
         m *= config.beta1
         m += (1.0 - config.beta1) * grad
         v *= config.beta2
         v += (1.0 - config.beta2) * grad * grad
         arr -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
-
-    for ((_, arr), (_, grad), m, v) in zip(
-        params.tensors(), grads.scorer.tensors(), state.m, state.v
-    ):
-        update(arr, grad, m, v)
-    if grads.embeddings is not None:
-        if matrix is None or state.m_emb is None:
-            raise ValueError("embedding gradients supplied without embedding state")
-        update(matrix, grads.embeddings, state.m_emb, state.v_emb)
 
 
 def train(

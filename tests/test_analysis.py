@@ -186,7 +186,6 @@ class TestInterAnnotator:
         result = inter_annotator(pairs)
         assert result.average.pearson_r == pytest.approx(1.0)
         assert result.maximum.pearson_r == pytest.approx(1.0)
-        assert result.median.pearson_r == pytest.approx(1.0)
         assert result.excluded == []
 
     def test_hand_computed_one_vs_rest(self):

@@ -1,5 +1,6 @@
 """Command-line workflow: subcommands, config files, exit codes."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import rewrite_checkpoint_header, separable_corpus, write_lines
 from ruber.cli import main
-from ruber.embeddings import load_text_embeddings, save_text_embeddings
+from ruber.embeddings import load_text_embeddings, save_text_embeddings, train_sgns
 from ruber.scoretable import read_score_table
-from ruber.unreferenced import load_checkpoint
+from ruber.unreferenced import TrainConfig, load_checkpoint
 
 
 def _write_training_corpus(tmp_path, n=80, seed=130):
@@ -87,6 +88,38 @@ class TestTrainEmbeddings:
         assert main(args + ["--out", b]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_config_line_shows_every_train_sgns_default(self, tmp_path, capsys):
+        corpus, _, _, _ = _write_training_corpus(tmp_path, n=40)
+        out = str(tmp_path / "vectors.txt")
+        assert main(["train-embeddings", "--corpus", corpus, "--out", out]) == 0
+        echo = capsys.readouterr().out.splitlines()[0]
+        assert echo == (
+            f"config: train-embeddings corpus={corpus} dim=50 epochs=5 format=tsv "
+            f"lr=0.025 min_count=5 negatives=5 out={out} seed=1 window=5"
+        )
+        keywords = inspect.signature(train_sgns).parameters.values()
+        defaults = [f"{p.name}={p.default}" for p in keywords if p.default is not p.empty]
+        assert len(defaults) == 7
+        assert set(defaults) <= set(echo.split())
+
+    def test_every_option_reaches_train_sgns(self, tmp_path, capsys, monkeypatch):
+        chosen = dict(dim=3, window=2, negatives=4, epochs=1, lr=0.5, min_count=1, seed=6)
+        keywords = inspect.signature(train_sgns).parameters
+        assert all(keywords[name].default != value for name, value in chosen.items())
+        received = {}
+
+        def recording_train_sgns(dataset, **kwargs):
+            received.update(kwargs)
+            return train_sgns(dataset, **kwargs)
+
+        monkeypatch.setattr("ruber.cli.train_sgns", recording_train_sgns)
+        corpus, _, _, _ = _write_training_corpus(tmp_path, n=40)
+        argv = ["train-embeddings", "--corpus", corpus, "--out", str(tmp_path / "v.txt")]
+        for name, value in chosen.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        assert received == chosen
+
     def test_missing_corpus_is_exit_3(self, tmp_path, capsys):
         assert main([
             "train-embeddings", "--corpus", str(tmp_path / "ghost.tsv"),
@@ -124,6 +157,27 @@ class TestTrainScorer:
         ]) == 0
         loaded = load_checkpoint(ckpt)
         assert loaded.config.epochs == 0
+
+    def test_unset_options_keep_the_train_config_defaults(self, pipeline, tmp_path, capsys):
+        ckpt = str(tmp_path / "defaults.ckpt")
+        assert main([
+            "train-scorer", "--corpus", pipeline["corpus"],
+            "--embeddings", pipeline["emb"], "--out", ckpt, "--epochs", "0",
+        ]) == 0
+        assert load_checkpoint(ckpt).config == TrainConfig(epochs=0)
+
+    def test_every_option_reaches_the_train_config(self, pipeline, tmp_path, capsys):
+        chosen = dict(hidden=3, mlp_hidden=5, margin=0.25, lr=0.5, epochs=0,
+                      batch_size=7, max_len=9, seed=11, fine_tune_embeddings=True)
+        assert all(getattr(TrainConfig, name) != value for name, value in chosen.items())
+        ckpt = str(tmp_path / "chosen.ckpt")
+        argv = ["train-scorer", "--corpus", pipeline["corpus"],
+                "--embeddings", pipeline["emb"], "--out", ckpt]
+        for name, value in chosen.items():
+            flag = "--" + name.replace("_", "-")
+            argv += [flag] if value is True else [flag, str(value)]
+        assert main(argv) == 0
+        assert load_checkpoint(ckpt).config == TrainConfig(**chosen)
 
     def test_corrupt_embeddings_exit_3(self, pipeline, tmp_path, capsys):
         bad = write_lines(tmp_path / "bad.txt", ["not a header"])
@@ -336,6 +390,15 @@ class TestReport:
             assert main(["report", "--scores", pipeline["scores"],
                          "--out", out, "--seed", "5"]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    def test_config_line_shows_the_library_defaults(self, pipeline, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        assert main(["report", "--scores", pipeline["scores"], "--out", out]) == 0
+        echo = capsys.readouterr().out.splitlines()[0]
+        assert echo == (
+            f"config: report bins=5 jitter_sigma=0.25 out={out} quantile_csv=None "
+            f"scatter_dir=None scores={pipeline['scores']} seed=0 text_out=None"
+        )
 
     def test_missing_scores_exit_3(self, tmp_path, capsys):
         assert main(["report", "--scores", str(tmp_path / "ghost.tsv"),

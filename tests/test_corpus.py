@@ -12,6 +12,7 @@ from ruber.corpus import (
     load_annotated,
     load_pairs,
     tokenize,
+    utterances_of,
 )
 from ruber.errors import ParseError, ValidationError
 from ruber.vocabulary import UNK_TOKEN, Vocabulary
@@ -224,6 +225,15 @@ class TestLoadAnnotated:
         ds = load_annotated(path)
         assert len(ds) == 1
         assert ds.skipped == 1
+
+
+class TestUtterancesOf:
+    def test_query_reply_pair_in_declaration_order(self):
+        assert utterances_of(QueryReplyPair(["q"], ["r", "s"])) == (["q"], ["r", "s"])
+
+    def test_annotated_pair_in_declaration_order(self):
+        pair = AnnotatedPair(["q"], ["g"], ["c", "d"], [2, 0])
+        assert utterances_of(pair) == (["q"], ["g"], ["c", "d"])
 
 
 class TestBuildVocab:
