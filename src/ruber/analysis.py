@@ -250,8 +250,8 @@ def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndar
     returns the inputs exactly.
     """
     human, metric = _vector_pair(human, metric)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:  # chained so that NaN and infinity fail too
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     jittered = human + rng.normal(0.0, sigma, human.shape)
     return np.column_stack([jittered, metric])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -320,8 +321,8 @@ def _cmd_report(o: dict) -> int:
     _echo_config("report", o)
     if o["bins"] < 1:
         raise ConfigError(f"bins must be >= 1, got {o['bins']}")
-    if o["jitter_sigma"] < 0:
-        raise ConfigError(f"jitter_sigma must be >= 0, got {o['jitter_sigma']}")
+    if not 0 <= o["jitter_sigma"] < math.inf:
+        raise ConfigError(f"jitter_sigma must be finite and >= 0, got {o['jitter_sigma']}")
     if o["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {o['seed']}")
     table = scoretable.read_score_table(o["scores"])

@@ -150,7 +150,7 @@ def train_sgns(
     """
     if dim < 1 or window < 1 or negatives < 1 or epochs < 1 or min_count < 1:
         raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
-    if lr <= 0:
+    if not lr > 0:  # written so that NaN fails it
         raise ConfigError(f"lr must be positive, got {lr}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")

@@ -38,13 +38,14 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if self.margin <= 0:
+        # written so that NaN fails them
+        if not self.margin > 0:
             raise ConfigError(f"margin must be positive, got {self.margin}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError(f"eps must be positive, got {self.eps}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")

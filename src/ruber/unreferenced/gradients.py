@@ -9,11 +9,20 @@ encoders.  Samples whose loss clamps to zero contribute exactly nothing.
 
 Both scores of a triple encode the same query with the same weights, so
 the query encoder runs its backward pass once per triple, on the sum of
-the two heads' query gradients.  Back-propagation through time walks the
-stacked per-step caches of :class:`~.scorer.DirectionCache`: the loop
-carries only the state gradient and records the gate and candidate
-pre-activation gradients of every step, after which each weight gradient
-is one matrix product over all steps.
+the two heads' query gradients.
+
+The forward pass runs one pair at a time.  Back-propagation through time
+runs once per encoder direction for each sub-batch of ``_SUB_BATCH``
+triples, over every row of that sub-batch whose hinge is active: one
+query row per triple, and a positive and a negative reply row.  The
+rows are sorted longest first and aligned to end at the last step, so
+the rows alive at step ``t`` are a prefix of ``k[t]`` rows.  Their
+per-step caches (:class:`~.scorer.DirectionCache`) are packed step by
+step into (sum of k[t], H) arrays with no padding and no mask, and one
+``(k[t], H)`` state gradient walks them from the last step to the first,
+dropping the rows that start at each step.  The weight and embedding
+gradients then come from products over blocks of at most ``_BLOCK_ROWS``
+packed rows.  One row alone is the case ``k[t] = 1``.
 """
 
 from __future__ import annotations
@@ -41,10 +50,20 @@ from .scorer import (
 # A training sample: (query, positive_reply, negative_reply), each a token list.
 Triple = tuple[list, list, list]
 
+# Triples whose encoder backward passes run together.  Their encode
+# caches stay alive until then, so this bounds the memory training adds
+# (about 0.2 MiB per triple at H=64); 8 already amortizes most of the
+# per-step cost of the backward loop.
+_SUB_BATCH = 8
+# Rows per weight-gradient product.  At H=64 and d=50 a product of 96
+# rows is at most 786,432 multiply-adds, under the 2**20 beyond which
+# OpenBLAS wakes a second, spinning thread.
+_BLOCK_ROWS = 96
+
 
 def margin_loss(s_pos: float, s_neg: float, margin: float) -> float:
     """Hinge on the score gap: zero once s_pos beats s_neg by ``margin``."""
-    if margin <= 0:
+    if not margin > 0:  # written so that NaN fails it
         raise ValueError(f"margin must be positive, got {margin}")
     return max(0.0, margin - s_pos + s_neg)
 
@@ -105,25 +124,26 @@ def compute_gradients(
     emb_grad = np.zeros_like(matrix) if config.fine_tune_embeddings else None
 
     total = 0.0
-    for index, (query, pos, neg) in enumerate(batch):
-        s_pos, cache_pos = score_with_cache(query, pos, params, vocab, matrix, config.max_len)
-        s_neg, cache_neg = score_with_cache(query, neg, params, vocab, matrix, config.max_len)
-        if not (math.isfinite(s_pos) and math.isfinite(s_neg)):
-            raise NumericalError(
-                f"non-finite score at batch index {index}: "
-                f"s_pos={s_pos!r} s_neg={s_neg!r}"
-            )
-        loss = margin_loss(s_pos, s_neg, config.margin)
-        total += loss
-        if loss > 0.0:
-            dq_pos, dr_pos = _backward_head(cache_pos, -1.0, params, grads)
-            dq_neg, dr_neg = _backward_head(cache_neg, +1.0, params, grads)
-            _backward_encode(cache_pos.query, dq_pos + dq_neg, params.query_encoder,
-                             grads.query_encoder, emb_grad)
-            _backward_encode(cache_pos.reply, dr_pos, params.reply_encoder,
-                             grads.reply_encoder, emb_grad)
-            _backward_encode(cache_neg.reply, dr_neg, params.reply_encoder,
-                             grads.reply_encoder, emb_grad)
+    for start in range(0, len(batch), _SUB_BATCH):
+        queries, replies = [], []  # (encode cache, sentence-vector gradient) per row
+        for index in range(start, min(start + _SUB_BATCH, len(batch))):
+            query, pos, neg = batch[index]
+            s_pos, cache_pos = score_with_cache(query, pos, params, vocab, matrix, config.max_len)
+            s_neg, cache_neg = score_with_cache(query, neg, params, vocab, matrix, config.max_len)
+            if not (math.isfinite(s_pos) and math.isfinite(s_neg)):
+                raise NumericalError(
+                    f"non-finite score at batch index {index}: "
+                    f"s_pos={s_pos!r} s_neg={s_neg!r}"
+                )
+            loss = margin_loss(s_pos, s_neg, config.margin)
+            total += loss
+            if loss > 0.0:
+                dq_pos, dr_pos = _backward_head(cache_pos, -1.0, params, grads)
+                dq_neg, dr_neg = _backward_head(cache_neg, +1.0, params, grads)
+                queries.append((cache_pos.query, dq_pos + dq_neg))
+                replies += [(cache_pos.reply, dr_pos), (cache_neg.reply, dr_neg)]
+        _backward_encoder(queries, params.query_encoder, grads.query_encoder, emb_grad)
+        _backward_encoder(replies, params.reply_encoder, grads.reply_encoder, emb_grad)
 
     if not math.isfinite(total):
         raise NumericalError(f"margin loss went non-finite over a batch of {len(batch)}")
@@ -166,66 +186,112 @@ def _backward_head(
     return dq, dr
 
 
-def _backward_encode(
-    ecache: EncodeCache,
-    dvec: np.ndarray,
+def _backward_encoder(
+    rows: list[tuple[EncodeCache, np.ndarray]],
     encoder: BiGruEncoder,
     gencoder: BiGruEncoder,
     emb_grad: np.ndarray | None,
 ) -> None:
+    """BPTT through both directions of one encoder for every row at once.
+
+    ``rows`` holds each row's forward cache and the gradient with respect
+    to its sentence vector.  The rows are sorted longest first (ties keep
+    their order) and aligned to end at the last step, so the rows alive
+    at step ``t`` are the first ``counts[t]`` of them; ``gather`` picks,
+    step by step, those rows' entries out of the row-major concatenation
+    of their caches.
+    """
+    if not rows:
+        return
+    rows = sorted(rows, key=lambda row: len(row[0].ids), reverse=True)
+    caches = [cache for cache, _ in rows]
+    dvecs = np.array([dvec for _, dvec in rows])
+    lengths = np.array([len(cache.ids) for cache in caches])
+    steps = lengths[0]
+    t = np.arange(steps)[:, None]
+    alive = t >= steps - lengths                             # (T, rows)
+    gather = (np.cumsum(lengths) - steps + t)[alive]
+    counts = alive.sum(axis=1)
     hidden = encoder.hidden_size
-    needs_dx = emb_grad is not None
-    dx_fwd = _backward_direction(ecache.fwd, dvec[:hidden], encoder.forward,
-                                 gencoder.forward, needs_dx)
-    dx_bwd = _backward_direction(ecache.bwd, dvec[hidden:], encoder.backward,
-                                 gencoder.backward, needs_dx)
-    if needs_dx:
-        # the backward direction consumed the reversed sequence, so its
-        # input gradients come back in reversed row order; np.add.at so
-        # repeated token ids accumulate instead of overwrite
-        np.add.at(emb_grad, ecache.ids, dx_fwd + dx_bwd[::-1])
+    ids = [cache.ids for cache in caches]
+    _backward_direction([c.fwd for c in caches], ids, gather, counts, dvecs[:, :hidden],
+                        encoder.forward, gencoder.forward, emb_grad)
+    # the backward direction consumed each row reversed
+    _backward_direction([c.bwd for c in caches], [row[::-1] for row in ids], gather, counts,
+                        dvecs[:, hidden:], encoder.backward, gencoder.backward, emb_grad)
 
 
 def _backward_direction(
-    dcache: DirectionCache,
+    dcaches: list[DirectionCache],
+    ids: list[list[int]],
+    gather: np.ndarray,
+    counts: np.ndarray,
     dh_last: np.ndarray,
     p: GruParams,
     gp: GruParams,
-    needs_dx: bool,
-) -> np.ndarray | None:
-    """BPTT through one direction; returns the (T, d) input gradients if asked.
+    emb_grad: np.ndarray | None,
+) -> None:
+    """BPTT through one direction of packed rows.
 
-    With ``a`` the stacked reset/update gate pre-activations and ``c``
-    the candidate pre-activation, the loop records ``d_a`` (T, 2H) and
-    ``d_c`` (T, H) per step; the six weight gradients then follow from
-    one product or row sum each.
+    Packed row ``i`` holds entry ``gather[i]`` of the row-major
+    concatenation of ``dcaches`` (and of ``ids``, the token ids in the
+    order this direction consumed them); step ``t`` owns the
+    ``counts[t]`` packed rows after those of the earlier steps.  The six
+    weight gradients follow from row blocks of the recorded
+    pre-activation gradients.  With ``emb_grad`` given, the input
+    gradients of the packed rows are added to it.
     """
-    h_prev, reset, update = dcache.h_prev, dcache.reset, dcache.update
-    steps, hidden = h_prev.shape
+
+    def pack(name):
+        return np.concatenate([getattr(c, name) for c in dcaches])[gather]
+
+    d_a, d_c = _packed_bptt(pack, counts, dh_last, p)
+    xs, h_prev, reset = pack("xs"), pack("h_prev"), pack("reset")
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(gather), _BLOCK_ROWS)]
+    for rows in blocks:
+        gp.w_gates += d_a[rows].T @ xs[rows]
+        gp.u_gates += d_a[rows].T @ h_prev[rows]
+        gp.w_cand += d_c[rows].T @ xs[rows]
+        gp.u_cand += d_c[rows].T @ (reset[rows] * h_prev[rows])
+    gp.b_gates += d_a.sum(axis=0)
+    gp.b_cand += d_c.sum(axis=0)
+    if emb_grad is not None:
+        dx = np.concatenate([d_a[rows] @ p.w_gates + d_c[rows] @ p.w_cand for rows in blocks])
+        # np.add.at so repeated token ids accumulate instead of overwrite
+        np.add.at(emb_grad, np.concatenate(ids)[gather], dx)
+
+
+def _packed_bptt(pack, counts: np.ndarray, dh: np.ndarray, p: GruParams):
+    """Pre-activation gradients ``(d_a, d_c)`` of every packed row.
+
+    ``a`` stacks the reset/update gate pre-activations (N, 2H) and ``c``
+    is the candidate pre-activation (N, H).  The steps run last to
+    first; ``dh`` starts as the (rows, H) gradient of the final states
+    and keeps its first ``counts[t]`` rows at step ``t``.  The per-step
+    factors live only in this frame, so they are freed before the caller
+    forms the weight gradients.
+    """
+    h_prev, reset, update, cand = (pack(name) for name in ("h_prev", "reset", "update", "cand"))
+    hidden = p.hidden_size
     # per-step factors that do not depend on the incoming gradient
     keep = 1.0 - update                                   # dh_prev / dh, direct path
-    cand_gain = update * (1.0 - dcache.cand ** 2)         # dc / dh
-    update_gain = (dcache.cand - h_prev) * update * keep  # d(update pre-act) / dh
+    cand_gain = update * (1.0 - cand ** 2)                # dc / dh
+    update_gain = (cand - h_prev) * update * keep         # d(update pre-act) / dh
     reset_gain = h_prev * reset * (1.0 - reset)           # d(reset pre-act) / d(reset*h)
-    d_a = np.empty((steps, 2 * hidden))
-    d_c = np.empty((steps, hidden))
-    dh = dh_last
-    for t in range(steps - 1, -1, -1):
-        dc = d_c[t]
-        da = d_a[t]
-        np.multiply(dh, cand_gain[t], out=dc)
-        drh = p.u_cand.T @ dc
-        np.multiply(drh, reset_gain[t], out=da[:hidden])
-        np.multiply(dh, update_gain[t], out=da[hidden:])
-        dh = dh * keep[t] + drh * reset[t] + p.u_gates.T @ da
+    del h_prev, update, cand
+    d_a = np.empty((len(keep), 2 * hidden))
+    d_c = np.empty((len(keep), hidden))
+    end = len(keep)
+    for count in counts[::-1]:
+        rows = slice(end - count, end)
+        end -= count
+        dh = dh[:count]  # rows that began one step later drop out
+        dc = d_c[rows]
+        da = d_a[rows]
+        np.multiply(dh, cand_gain[rows], out=dc)
+        drh = dc @ p.u_cand
+        np.multiply(drh, reset_gain[rows], out=da[:, :hidden])
+        np.multiply(dh, update_gain[rows], out=da[:, hidden:])
+        dh = dh * keep[rows] + drh * reset[rows] + da @ p.u_gates
     # the gradient w.r.t. the initial zero state is discarded
-
-    gp.w_gates += d_a.T @ dcache.xs
-    gp.u_gates += d_a.T @ h_prev
-    gp.b_gates += d_a.sum(axis=0)
-    gp.w_cand += d_c.T @ dcache.xs
-    gp.u_cand += d_c.T @ (reset * h_prev)
-    gp.b_cand += d_c.sum(axis=0)
-    if not needs_dx:
-        return None
-    return d_a @ p.w_gates + d_c @ p.w_cand
+    return d_a, d_c

@@ -303,8 +303,9 @@ class TestScatter:
         assert np.std(points[:, 0]) == pytest.approx(0.25, rel=0.1)
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            scatter_points(np.zeros(3), np.zeros(3), sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                scatter_points(np.zeros(3), np.zeros(3), sigma=sigma)
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "scatter.csv"

@@ -496,6 +496,27 @@ class TestInputsEndInExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, option, value", [
+        ("train-scorer", "--margin", "nan"), ("train-scorer", "--lr", "nan"),
+        ("train-embeddings", "--lr", "nan"), ("report", "--jitter-sigma", "nan"),
+        ("report", "--jitter-sigma", "inf"),
+    ])
+    def test_undefined_option_value_is_exit_2(self, pipeline, tmp_path, capsys, command,
+                                              option, value):
+        argv = {
+            "train-embeddings": ["--corpus", pipeline["corpus"], "--out",
+                                 str(tmp_path / "v.txt"), "--min-count", "1"],
+            "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
+                             "--out", str(tmp_path / "s.ckpt"), "--epochs", "1",
+                             "--hidden", "2", "--mlp-hidden", "2"],
+            "report": ["--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
+                       "--scatter-dir", str(tmp_path / "scatter")],
+        }[command]
+        assert main([command, *argv, option, value]) == 2
+        name = option[2:].replace("-", "_")
+        assert f"{name} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
     def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, capsys, cell):
         lines = open(pipeline["scores"]).read().splitlines()

@@ -13,7 +13,7 @@ from ruber.unreferenced import (
     margin_loss,
     unreferenced_score,
 )
-from ruber.unreferenced.gradients import batch_loss
+from ruber.unreferenced.gradients import _SUB_BATCH, batch_loss
 
 
 def _random_triple(rng, vocab_size=8, max_tokens=4):
@@ -50,6 +50,8 @@ class TestMarginLoss:
             margin_loss(0.5, 0.5, 0.0)
         with pytest.raises(ValueError):
             margin_loss(0.5, 0.5, -0.1)
+        with pytest.raises(ValueError):
+            margin_loss(0.5, 0.5, float("nan"))
 
 
 class TestComputeGradients:
@@ -233,21 +235,32 @@ def _within_oracle_tolerance(got, ref):
     return np.max(np.abs(got - ref)) <= ORACLE_RTOL * max(1.0, np.max(np.abs(ref)))
 
 
+def _assert_matches_loop_oracle(batch, params, vocab, matrix, config):
+    grads, loss = compute_gradients(batch, params, vocab, matrix, config)
+    ref_scorer, ref_emb, ref_loss = oracles.loop_compute_gradients(
+        batch, params, vocab, matrix, config
+    )
+    assert loss == ref_loss
+    for (name, got), (_, ref) in zip(grads.scorer.tensors(), ref_scorer.tensors()):
+        assert _within_oracle_tolerance(got, ref), name
+    if config.fine_tune_embeddings:
+        assert _within_oracle_tolerance(grads.embeddings, ref_emb)
+    else:
+        assert grads.embeddings is None and ref_emb is None
+
+
+def _hinges_active(batch, params, vocab, matrix, config):
+    return [margin_loss(
+        unreferenced_score(query, pos, params, vocab, matrix, config.max_len),
+        unreferenced_score(query, neg, params, vocab, matrix, config.max_len),
+        config.margin,
+    ) > 0.0 for query, pos, neg in batch]
+
+
 class TestAgainstLoopOracle:
     @pytest.mark.parametrize("index", range(ORACLE_INSTANCES))
     def test_matches_per_step_bptt(self, index):
-        batch, params, vocab, matrix, config = _oracle_instance(index)
-        grads, loss = compute_gradients(batch, params, vocab, matrix, config)
-        ref_scorer, ref_emb, ref_loss = oracles.loop_compute_gradients(
-            batch, params, vocab, matrix, config
-        )
-        assert loss == ref_loss
-        for (name, got), (_, ref) in zip(grads.scorer.tensors(), ref_scorer.tensors()):
-            assert _within_oracle_tolerance(got, ref), name
-        if config.fine_tune_embeddings:
-            assert _within_oracle_tolerance(grads.embeddings, ref_emb)
-        else:
-            assert grads.embeddings is None and ref_emb is None
+        _assert_matches_loop_oracle(*_oracle_instance(index))
 
     def test_instances_cover_the_listed_cases(self):
         seen = set()
@@ -256,7 +269,6 @@ class TestAgainstLoopOracle:
             seen.add(("fine_tune", config.fine_tune_embeddings))
             if params.embed_dim == 50 and params.hidden_size == 64 and params.mlp_size == 128:
                 seen.add("benchmark dims")
-            hinges = []
             for query, pos, neg in batch:
                 if max(map(len, (query, pos, neg))) > config.max_len:
                     seen.add("truncated")
@@ -264,16 +276,101 @@ class TestAgainstLoopOracle:
                     seen.add("repeat within")
                 if set(query) & (set(pos) | set(neg)):
                     seen.add("repeat across")
-                hinges.append(margin_loss(
-                    unreferenced_score(query, pos, params, vocab, matrix, config.max_len),
-                    unreferenced_score(query, neg, params, vocab, matrix, config.max_len),
-                    config.margin,
-                ) > 0.0)
+            hinges = _hinges_active(batch, params, vocab, matrix, config)
             if any(hinges) and not all(hinges):
                 seen.add("some hinges inactive")
         assert seen == {
             ("fine_tune", True), ("fine_tune", False), "benchmark dims", "truncated",
             "repeat within", "repeat across", "some hinges inactive",
+        }
+
+
+# ---------------------------------------------------------------------------
+# packed BPTT over batches of several sub-batches, against the loop oracle
+
+PACKED_INSTANCES = 16
+
+
+def _packed_instance(index):
+    """A seeded (batch, params, vocab, matrix, config) spanning sub-batches.
+
+    Instance 0 runs at the benchmark's dimensions and instance 1 holds a
+    single triple; the others hold two or three full sub-batches and a
+    remainder.  Every fourth instance gives all utterances one length, so
+    the length sort meets only ties; the others draw ragged lengths.
+    Lengths run up to three tokens past ``max_len``.  Fine-tuning
+    alternates.  Every third instance uses a margin no triple satisfies;
+    the others orient each triple and pick the margin so that every hinge
+    of the second sub-batch and of the odd-indexed triples is inactive.
+    """
+    rng = np.random.default_rng(11000 + index)
+    if index == 0:
+        dim, hidden, mlp, n_tokens, max_len = 50, 64, 128, 40, 30
+    else:
+        dim, hidden, mlp = (int(v) for v in rng.integers(2, 7, size=3))
+        n_tokens = int(rng.integers(3, 7))
+        max_len = int(rng.integers(2, 6))
+    vocab, matrix = toy_vocab_matrix(rng, n_tokens=n_tokens, dim=dim)
+    params = random_scorer_params(dim, hidden, mlp, rng)
+    if index == 1:
+        n_triples = 1
+    else:
+        n_triples = (int(rng.integers(2, 4)) * _SUB_BATCH
+                     + int(rng.integers(1, _SUB_BATCH)))
+    shortest, longest = 1, max_len + 3
+    if index % 4 == 3:
+        shortest = longest = int(rng.integers(1, max_len + 4))
+    batch = [tuple(random_utterance(rng, n_tokens, longest, min_tokens=shortest)
+                   for _ in range(3)) for _ in range(n_triples)]
+    margin = 2.0
+    if index % 3 != 0:
+        oriented, satisfied = [], []
+        for i, (query, pos, neg) in enumerate(batch):
+            gap = (unreferenced_score(query, pos, params, vocab, matrix, max_len)
+                   - unreferenced_score(query, neg, params, vocab, matrix, max_len))
+            inactive = i // _SUB_BATCH == 1 or i % 2 == 1
+            if (gap < 0.0) == inactive:
+                pos, neg, gap = neg, pos, -gap
+            oriented.append((query, pos, neg))
+            if inactive and gap > 0.0:
+                satisfied.append(gap)
+        batch = oriented
+        margin = 0.5 * min(satisfied) if satisfied else 1.0
+    config = TrainConfig(hidden=hidden, mlp_hidden=mlp, margin=margin, max_len=max_len,
+                         fine_tune_embeddings=index % 2 == 1)
+    return batch, params, vocab, matrix, config
+
+
+class TestPackedAgainstLoopOracle:
+    @pytest.mark.parametrize("index", range(PACKED_INSTANCES))
+    def test_matches_per_step_bptt(self, index):
+        _assert_matches_loop_oracle(*_packed_instance(index))
+
+    def test_instances_cover_the_listed_cases(self):
+        seen = set()
+        for index in range(PACKED_INSTANCES):
+            batch, params, vocab, matrix, config = _packed_instance(index)
+            seen.add(("fine_tune", config.fine_tune_embeddings))
+            if params.embed_dim == 50 and params.hidden_size == 64 and params.mlp_size == 128:
+                seen.add("benchmark dims")
+            n = len(batch)
+            if n == 1:
+                seen.add("single triple")
+            if n > 2 * _SUB_BATCH and n % _SUB_BATCH:
+                seen.add("sub-batches and a remainder")
+            rows = [u for triple in batch for u in triple]
+            lengths = [min(len(u), config.max_len) for u in rows]
+            seen.add("equal lengths" if len(set(lengths)) == 1 else "ragged")
+            if any(len(u) > config.max_len for u in rows):
+                seen.add("truncated")
+            hinges = _hinges_active(batch, params, vocab, matrix, config)
+            subs = [hinges[i:i + _SUB_BATCH] for i in range(0, n, _SUB_BATCH)]
+            if any(hinges) and not all(map(any, subs)):
+                seen.add("idle sub-batch")
+        assert seen == {
+            ("fine_tune", True), ("fine_tune", False), "benchmark dims", "single triple",
+            "sub-batches and a remainder", "equal lengths", "ragged", "truncated",
+            "idle sub-batch",
         }
 
 

@@ -73,6 +73,7 @@ class TestTrainConfig:
             dict(margin=-1.0), dict(lr=0.0), dict(epochs=-1),
             dict(batch_size=0), dict(max_len=0),
             dict(beta1=1.0), dict(beta2=1.5), dict(eps=0.0),
+            *(dict([(name, float("nan"))]) for name in ("margin", "lr", "eps", "beta1")),
         ]
         for kwargs in bad:
             with pytest.raises(ConfigError):
