@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .fileio import atomic_write
 
 _BETA_CF_MAX_ITER = 300
@@ -223,6 +224,18 @@ def inter_annotator(scores) -> InterAnnotatorResult:
 # report-figure helpers
 
 
+def check_bins(k: int) -> None:
+    """Raise :class:`~ruber.errors.ConfigError` unless ``k`` quantile groups can exist."""
+    if k < 1:
+        raise ConfigError(f"bins must be >= 1, got {k}")
+
+
+def check_sigma(sigma: float) -> None:
+    """Raise :class:`~ruber.errors.ConfigError` on an unusable scatter jitter."""
+    if not 0 <= sigma < math.inf:  # chained so that NaN and infinity fail too
+        raise ConfigError(f"jitter_sigma must be finite and >= 0, got {sigma}")
+
+
 def quantile_bins(human, metric, k: int = 5) -> np.ndarray:
     """Mean metric value within k human-score quantile groups.
 
@@ -233,8 +246,7 @@ def quantile_bins(human, metric, k: int = 5) -> np.ndarray:
     """
     human, metric = _vector_pair(human, metric)
     n = human.size
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_bins(k)
     if n < k:
         raise ValueError(f"cannot cut {n} rows into {k} groups")
     order = np.argsort(human, kind="stable")
@@ -250,8 +262,7 @@ def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndar
     returns the inputs exactly.
     """
     human, metric = _vector_pair(human, metric)
-    if not 0 <= sigma < math.inf:  # chained so that NaN and infinity fail too
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    check_sigma(sigma)
     rng = np.random.default_rng(seed)
     jittered = human + rng.normal(0.0, sigma, human.shape)
     return np.column_stack([jittered, metric])

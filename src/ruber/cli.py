@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -29,7 +28,12 @@ import numpy as np
 from . import analysis, report as report_mod, scoretable
 from .blending import BlendStrategy
 from .corpus import FORMATS, load_annotated, load_pairs
-from .embeddings import load_text_embeddings, save_text_embeddings, train_sgns
+from .embeddings import (
+    check_sgns_options,
+    load_text_embeddings,
+    save_text_embeddings,
+    train_sgns,
+)
 from .errors import (
     CheckpointFormatError,
     CompatibilityError,
@@ -258,8 +262,10 @@ def _convert(opt: _Opt, raw: str, source) -> object:
 def _cmd_train_embeddings(o: dict) -> int:
     _echo_config("train-embeddings", o)
     started = time.perf_counter()
+    options = {name: o[name] for name in _SGNS}
+    check_sgns_options(**options)
     dataset = load_pairs(o["corpus"], o["format"])
-    vocab, matrix = train_sgns(dataset, **{name: o[name] for name in _SGNS})
+    vocab, matrix = train_sgns(dataset, **options)
     save_text_embeddings(vocab, matrix, o["out"])
     duration = time.perf_counter() - started
     print(f"vocab={len(vocab)} dim={o['dim']} duration={duration:.2f}s")
@@ -319,10 +325,8 @@ def _cmd_score(o: dict) -> int:
 
 def _cmd_report(o: dict) -> int:
     _echo_config("report", o)
-    if o["bins"] < 1:
-        raise ConfigError(f"bins must be >= 1, got {o['bins']}")
-    if not 0 <= o["jitter_sigma"] < math.inf:
-        raise ConfigError(f"jitter_sigma must be finite and >= 0, got {o['jitter_sigma']}")
+    analysis.check_bins(o["bins"])
+    analysis.check_sigma(o["jitter_sigma"])
     if o["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {o['seed']}")
     table = scoretable.read_score_table(o["scores"])

@@ -16,7 +16,7 @@ from array import array
 import numpy as np
 
 from .corpus import Dataset, build_vocab, utterances_of
-from .errors import ConfigError, NumericalError, ParseError, ValidationError
+from .errors import ConfigError, NumericalError, ParseError, ValidationError, allocating
 from .fileio import atomic_write
 from .unreferenced.scorer import sigmoid
 from .vocabulary import UNK_TOKEN, Vocabulary
@@ -145,16 +145,12 @@ def train_sgns(
     ``(dataset, params, seed)``.
 
     Returns the vocabulary and the input-vector matrix; row 0 (unknown
-    token) is set to the mean of all trained rows.  Unusable arguments
-    raise :class:`~ruber.errors.ConfigError`.
+    token) is set to the mean of all trained rows.  Unusable arguments,
+    and sizes too large to allocate, raise
+    :class:`~ruber.errors.ConfigError`.  numpy's overflow warnings are
+    silenced: the finished matrix is checked for non-finite values.
     """
-    if dim < 1 or window < 1 or negatives < 1 or epochs < 1 or min_count < 1:
-        raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
-    if not lr > 0:  # written so that NaN fails it
-        raise ConfigError(f"lr must be positive, got {lr}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-
+    check_sgns_options(dim, window, negatives, epochs, lr, min_count, seed)
     vocab = build_vocab(dataset, min_count=min_count)
     if len(vocab) < 2:
         raise ValidationError(
@@ -175,37 +171,48 @@ def train_sgns(
     if not sentences:
         raise ValidationError("every sentence became empty after min_count filtering")
 
-    rng = np.random.default_rng(seed)
-    vectors = (rng.random((len(vocab), dim)) - 0.5) / dim
-    flat_context = np.zeros(len(vocab) * dim)
-    context = flat_context.reshape(len(vocab), dim)
-
     # Cumulative unigram^0.75 table over ids 1..V for inverse-CDF sampling.
     noise = counts[1:] ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
+    rng = np.random.default_rng(seed)
     total_positions = sum(len(s) for s in sentences) * epochs
     floor = lr * 1e-4
     processed = 0
-    for _ in range(epochs):
-        for sent in sentences:
-            alpha = max(lr * (1.0 - processed / total_positions), floor)
-            processed += len(sent)
-            targets, labels, bounds = _sentence_blocks(sent, window, negatives, noise_cdf, rng)
-            # flat cell ids of each target's context row: np.add.at on a 1-D
-            # view takes numpy's fast path, ~3x faster than row indices
-            cells = (targets[:, None] * dim + np.arange(dim)).ravel()
-            for center, a, b in zip(sent, bounds[:-1], bounds[1:]):
-                out = context[targets[a:b]]
-                vec = vectors[center]
-                g = alpha * (labels[a:b] - sigmoid(out @ vec))
-                np.add.at(flat_context, cells[a * dim:b * dim], np.outer(g, vec).ravel())
-                vectors[center] += g @ out
-
-    vectors[0] = vectors[1:].mean(axis=0)
+    with (allocating(f"dim={dim} negatives={negatives}"),
+          np.errstate(over="ignore", invalid="ignore")):
+        vectors = (rng.random((len(vocab), dim)) - 0.5) / dim
+        flat_context = np.zeros(len(vocab) * dim)
+        context = flat_context.reshape(len(vocab), dim)
+        for _ in range(epochs):
+            for sent in sentences:
+                alpha = max(lr * (1.0 - processed / total_positions), floor)
+                processed += len(sent)
+                targets, labels, bounds = _sentence_blocks(
+                    sent, window, negatives, noise_cdf, rng)
+                # flat cell ids of each target's context row: np.add.at on a 1-D
+                # view takes numpy's fast path, ~3x faster than row indices
+                cells = (targets[:, None] * dim + np.arange(dim)).ravel()
+                for center, a, b in zip(sent, bounds[:-1], bounds[1:]):
+                    out = context[targets[a:b]]
+                    vec = vectors[center]
+                    g = alpha * (labels[a:b] - sigmoid(out @ vec))
+                    np.add.at(flat_context, cells[a * dim:b * dim], np.outer(g, vec).ravel())
+                    vectors[center] += g @ out
+        vectors[0] = vectors[1:].mean(axis=0)
     if not np.all(np.isfinite(vectors)):
         raise NumericalError("skip-gram training produced non-finite vectors")
     return vocab, vectors
+
+
+def check_sgns_options(dim, window, negatives, epochs, lr, min_count, seed) -> None:
+    """Raise :class:`~ruber.errors.ConfigError` on an unusable :func:`train_sgns` argument."""
+    if dim < 1 or window < 1 or negatives < 1 or epochs < 1 or min_count < 1:
+        raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
+    if not 0 < lr < math.inf:  # chained so that NaN and infinity fail too
+        raise ConfigError(f"lr must be positive and finite, got {lr}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _sentence_blocks(sent, window, negatives, noise_cdf, rng):

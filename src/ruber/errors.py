@@ -4,6 +4,8 @@ The CLI maps these onto process exit codes; library callers can catch
 :class:`RuberError` to intercept everything raised deliberately.
 """
 
+from contextlib import contextmanager
+
 
 class RuberError(Exception):
     """Base class for all errors raised on purpose by this package."""
@@ -22,8 +24,8 @@ class ValidationError(RuberError):
     """Input data is structurally parseable but violates a documented rule."""
 
 
-class ConfigError(RuberError):
-    """A configuration value (flag or config-file key) is unusable."""
+class ConfigError(RuberError, ValueError):
+    """A configuration value (flag, config-file key or argument) is unusable."""
 
 
 class NumericalError(RuberError):
@@ -36,3 +38,18 @@ class CheckpointFormatError(RuberError):
 
 class CompatibilityError(RuberError):
     """A checkpoint does not match the supplied vocabulary or embeddings."""
+
+
+@contextmanager
+def allocating(options: str):
+    """Report numpy's refusal to allocate the arrays sized by ``options``.
+
+    numpy refuses such a request at once: with MemoryError past the
+    memory it can map, and with ValueError past the largest size it can
+    address.  Either becomes a :class:`ConfigError` naming ``options``,
+    so wrap only code whose other ValueErrors cannot occur.
+    """
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{options}: arrays too large to allocate ({exc})") from exc

@@ -72,12 +72,17 @@ def save_checkpoint(
         fh.write(encoded)
         fh.write(struct.pack("<Q", vocab_hash))
         for _, arr in params.tensors():
-            # asarray keeps 0-d tensors 0-d (ascontiguousarray would not)
-            quantized = np.asarray(arr, dtype="<f4", order="C")
+            quantized = quantize(arr)
             fh.write(struct.pack("<I", quantized.ndim))
             for dim in quantized.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(quantized.tobytes())
+
+
+def quantize(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a checkpoint stores it: little-endian float32, row-major."""
+    # asarray keeps 0-d tensors 0-d (ascontiguousarray would not)
+    return np.asarray(arr, dtype="<f4", order="C")
 
 
 def load_checkpoint(

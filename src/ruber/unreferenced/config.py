@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -38,11 +39,11 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        # written so that NaN fails them
-        if not self.margin > 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        # written so that NaN fails each; margin and lr must be finite too
+        if not 0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be positive and finite, got {self.margin}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
             raise ConfigError("beta1 and beta2 must lie in [0, 1)")
         if not self.eps > 0:

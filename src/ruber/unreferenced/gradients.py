@@ -7,22 +7,23 @@ head, product rules through the bilinear match feature, and
 back-propagation through time through both directions of both GRU
 encoders.  Samples whose loss clamps to zero contribute exactly nothing.
 
-Both scores of a triple encode the same query with the same weights, so
-the query encoder runs its backward pass once per triple, on the sum of
-the two heads' query gradients.
+The forward pass runs one pair at a time; the backward pass runs once
+per sub-batch of ``_SUB_BATCH`` triples, over those whose hinge is
+active.  Each triple's positive and negative pair are two rows of the
+head, which forms each head gradient as one product over the rows and
+reads the sentence vectors back from the MLP input features.  The
+query encoder takes one row per triple (both scores encode the same
+query, so its two heads' gradients are summed) and the reply encoder two.
 
-The forward pass runs one pair at a time.  Back-propagation through time
-runs once per encoder direction for each sub-batch of ``_SUB_BATCH``
-triples, over every row of that sub-batch whose hinge is active: one
-query row per triple, and a positive and a negative reply row.  The
-rows are sorted longest first and aligned to end at the last step, so
-the rows alive at step ``t`` are a prefix of ``k[t]`` rows.  Their
+Back-propagation through time runs once per encoder direction over
+those rows, sorted longest first and aligned to end at the last step,
+so the rows alive at step ``t`` are a prefix of ``k[t]`` rows.  Their
 per-step caches (:class:`~.scorer.DirectionCache`) are packed step by
 step into (sum of k[t], H) arrays with no padding and no mask, and one
 ``(k[t], H)`` state gradient walks them from the last step to the first,
-dropping the rows that start at each step.  The weight and embedding
-gradients then come from products over blocks of at most ``_BLOCK_ROWS``
-packed rows.  One row alone is the case ``k[t] = 1``.
+dropping the rows that start at each step.  Weight and embedding
+gradients come from products over blocks of at most ``_BLOCK_ROWS``
+packed rows.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ _BLOCK_ROWS = 96
 
 def margin_loss(s_pos: float, s_neg: float, margin: float) -> float:
     """Hinge on the score gap: zero once s_pos beats s_neg by ``margin``."""
-    if not margin > 0:  # written so that NaN fails it
-        raise ValueError(f"margin must be positive, got {margin}")
+    if not 0 < margin < math.inf:  # chained so that NaN and infinity fail too
+        raise ValueError(f"margin must be positive and finite, got {margin}")
     return max(0.0, margin - s_pos + s_neg)
 
 
@@ -125,7 +126,7 @@ def compute_gradients(
 
     total = 0.0
     for start in range(0, len(batch), _SUB_BATCH):
-        queries, replies = [], []  # (encode cache, sentence-vector gradient) per row
+        rows = []  # score caches of the hinge-active triples: positive, then negative
         for index in range(start, min(start + _SUB_BATCH, len(batch))):
             query, pos, neg = batch[index]
             s_pos, cache_pos = score_with_cache(query, pos, params, vocab, matrix, config.max_len)
@@ -138,15 +139,15 @@ def compute_gradients(
             loss = margin_loss(s_pos, s_neg, config.margin)
             total += loss
             if loss > 0.0:
-                dq_pos, dr_pos = _backward_head(cache_pos, -1.0, params, grads)
-                dq_neg, dr_neg = _backward_head(cache_neg, +1.0, params, grads)
-                queries.append((cache_pos.query, dq_pos + dq_neg))
-                replies += [(cache_pos.reply, dr_pos), (cache_neg.reply, dr_neg)]
-        _backward_encoder(queries, params.query_encoder, grads.query_encoder, emb_grad)
-        _backward_encoder(replies, params.reply_encoder, grads.reply_encoder, emb_grad)
-
-    if not math.isfinite(total):
-        raise NumericalError(f"margin loss went non-finite over a batch of {len(batch)}")
+                cache_neg.query = None  # a second copy of the positive pair's query cache
+                rows += [cache_pos, cache_neg]
+        if not rows:
+            continue
+        dq, dr = _backward_head(rows, params, grads)
+        _backward_encoder([cache.query for cache in rows[::2]], dq[::2] + dq[1::2],
+                          params.query_encoder, grads.query_encoder, emb_grad)
+        _backward_encoder([cache.reply for cache in rows], dr,
+                          params.reply_encoder, grads.reply_encoder, emb_grad)
 
     scale = 1.0 / len(batch)
     for _, arr in grads.tensors():
@@ -157,55 +158,56 @@ def compute_gradients(
 
 
 def _backward_head(
-    cache: ScoreCache,
-    upstream: float,
+    rows: list[ScoreCache],
     params: ScorerParams,
     grads: ScorerParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Accumulate d(upstream * score)/d(head params) into ``grads``.
+    """Accumulate the head gradients of ``rows`` into ``grads``.
 
-    Returns the gradients with respect to the query and reply sentence
-    vectors, for the encoders' backward passes.
+    ``rows`` alternates the positive and the negative pair of each
+    active triple, whose scores have upstream gradients -1 and +1.
+    Returns the (rows, 2H) gradients with respect to the query and
+    reply sentence vectors.
     """
-    s = cache.score
-    dz = upstream * s * (1.0 - s)          # logistic derivative
-    grads.mlp_out_b += dz
-    grads.mlp_out_w += dz * cache.hidden
-    dhidden = dz * params.mlp_out_w
-    dpre = dhidden * (1.0 - cache.hidden ** 2)  # tanh derivative
-    grads.mlp_hidden_b += dpre
-    grads.mlp_hidden_w += np.outer(dpre, cache.feats)
-    dfeats = params.mlp_hidden_w.T @ dpre
+    feats = np.array([cache.feats for cache in rows])     # (rows, 4H+1)
+    hidden = np.array([cache.hidden for cache in rows])   # (rows, m)
+    scores = np.array([cache.score for cache in rows])
+    dz = np.tile([-1.0, 1.0], len(rows) // 2) * scores * (1.0 - scores)  # logistic derivative
+    grads.mlp_out_b += dz.sum()
+    grads.mlp_out_w += dz @ hidden
+    dpre = dz[:, None] * params.mlp_out_w * (1.0 - hidden ** 2)  # tanh derivative
+    grads.mlp_hidden_b += dpre.sum(axis=0)
+    grads.mlp_hidden_w += dpre.T @ feats
+    dfeats = dpre @ params.mlp_hidden_w
 
-    two_h = cache.query.vec.shape[0]
-    qvec, rvec = cache.query.vec, cache.reply.vec
-    dquad = dfeats[-1]
-    dq = dfeats[:two_h] + dquad * (params.bilinear @ rvec)
-    dr = dfeats[two_h:2 * two_h] + dquad * (params.bilinear.T @ qvec)
-    grads.bilinear += dquad * np.outer(qvec, rvec)
+    two_h = 2 * params.hidden_size
+    qvecs, rvecs = feats[:, :two_h], feats[:, two_h:2 * two_h]
+    dquad = dfeats[:, -1:]
+    dq = dfeats[:, :two_h] + dquad * (rvecs @ params.bilinear.T)
+    dr = dfeats[:, two_h:2 * two_h] + dquad * (qvecs @ params.bilinear)
+    grads.bilinear += (dquad * qvecs).T @ rvecs
     return dq, dr
 
 
 def _backward_encoder(
-    rows: list[tuple[EncodeCache, np.ndarray]],
+    caches: list[EncodeCache],
+    dvecs: np.ndarray,
     encoder: BiGruEncoder,
     gencoder: BiGruEncoder,
     emb_grad: np.ndarray | None,
 ) -> None:
     """BPTT through both directions of one encoder for every row at once.
 
-    ``rows`` holds each row's forward cache and the gradient with respect
-    to its sentence vector.  The rows are sorted longest first (ties keep
-    their order) and aligned to end at the last step, so the rows alive
-    at step ``t`` are the first ``counts[t]`` of them; ``gather`` picks,
-    step by step, those rows' entries out of the row-major concatenation
-    of their caches.
+    ``caches`` holds each row's forward cache and ``dvecs`` the (rows, 2H)
+    gradients with respect to their sentence vectors.  The rows are
+    sorted longest first (ties keep their order) and aligned to end at
+    the last step, so the rows alive at step ``t`` are the first
+    ``counts[t]`` of them; ``gather`` picks, step by step, those rows'
+    entries out of the row-major concatenation of their caches.
     """
-    if not rows:
-        return
-    rows = sorted(rows, key=lambda row: len(row[0].ids), reverse=True)
-    caches = [cache for cache, _ in rows]
-    dvecs = np.array([dvec for _, dvec in rows])
+    order = sorted(range(len(caches)), key=lambda i: len(caches[i].ids), reverse=True)
+    caches = [caches[i] for i in order]
+    dvecs = dvecs[order]
     lengths = np.array([len(cache.ids) for cache in caches])
     steps = lengths[0]
     t = np.arange(steps)[:, None]

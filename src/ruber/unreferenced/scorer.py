@@ -211,15 +211,14 @@ class EncodeCache:
     ids: list[int]
     fwd: DirectionCache
     bwd: DirectionCache
-    vec: np.ndarray  # (2H,)
 
 
 @dataclass
 class ScoreCache:
-    query: EncodeCache
+    query: EncodeCache | None  # training drops a negative pair's copy
     reply: EncodeCache
-    feats: np.ndarray
-    hidden: np.ndarray
+    feats: np.ndarray   # (4H+1,) query vector, reply vector, bilinear match
+    hidden: np.ndarray  # (m,) tanh activations
     score: float
 
 
@@ -283,9 +282,7 @@ def _encode_ids(ids, encoder: BiGruEncoder, matrix: np.ndarray, pad=None, collec
     back_pad = None if pad is None else pad[::-1]
     h_bwd, bwd = _run_rows(xs[::-1], encoder.backward, h0, back_pad, collect)
     vec = np.concatenate([h_fwd, h_bwd], axis=-1)
-    if not collect:
-        return vec, None
-    return vec, EncodeCache(ids=ids, fwd=fwd, bwd=bwd, vec=vec)
+    return vec, (EncodeCache(ids, fwd, bwd) if collect else None)
 
 
 def _encode_batch(utterances, encoder: BiGruEncoder, vocab: Vocabulary,
@@ -352,9 +349,7 @@ def _score_internal(
     qvec, qcache = _encode_ids(qids, params.query_encoder, matrix, collect=collect)
     rvec, rcache = _encode_ids(rids, params.reply_encoder, matrix, collect=collect)
     (score,), feats, hidden = _head(qvec, rvec, params)
-    if not collect:
-        return score, None
-    return score, ScoreCache(qcache, rcache, feats, hidden, score)
+    return score, (ScoreCache(qcache, rcache, feats, hidden, score) if collect else None)
 
 
 def unreferenced_score(

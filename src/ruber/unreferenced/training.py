@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..corpus import Utterance
-from ..errors import NumericalError, ValidationError
+from ..errors import NumericalError, ValidationError, allocating
 from ..vocabulary import Vocabulary
+from .checkpoint import quantize
 from .config import TrainConfig
 from .gradients import Gradients, compute_gradients
 from .scorer import ScorerParams, init_scorer_params, unreferenced_score
@@ -116,13 +117,17 @@ def train(
 
     When ``config.fine_tune_embeddings`` is set, ``matrix`` is updated
     in place alongside the scorer parameters.  An epoch whose updates
-    leave any of these tensors non-finite raises
-    :class:`~ruber.errors.NumericalError`.
+    leave any of these tensors non-finite, or a scorer tensor beyond the
+    float32 range of the checkpoint, raises
+    :class:`~ruber.errors.NumericalError`; numpy's overflow warnings are
+    silenced on the way.  Sizes too large to allocate raise
+    :class:`~ruber.errors.ConfigError`.
     """
     config.validate()
     matrix = np.asarray(matrix, dtype=float)
     rng = np.random.default_rng(config.seed)
-    params = init_scorer_params(matrix.shape[1], config.hidden, config.mlp_hidden, rng)
+    with allocating(f"hidden={config.hidden} mlp_hidden={config.mlp_hidden}"):
+        params = init_scorer_params(matrix.shape[1], config.hidden, config.mlp_hidden, rng)
 
     n = len(dataset)
     perm = rng.permutation(n)
@@ -141,22 +146,27 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(trainset))
         loss_sum = 0.0
-        for start in range(0, len(order), config.batch_size):
-            chunk = order[start:start + config.batch_size]
-            batch = []
-            for i in chunk:
-                pair = trainset[int(i)]
-                negative = sample_negative(trainset, int(i), rng)
-                batch.append((pair.query, pair.reply, negative))
-            grads, mean_loss = compute_gradients(batch, params, vocab, matrix, config)
-            loss_sum += mean_loss * len(chunk)
-            adam_step(params, grads, state, config,
-                      matrix if config.fine_tune_embeddings else None)
-        # a diverged model would otherwise score its holdout and be saved
-        tuned = [("fine-tuned embeddings", matrix)] if config.fine_tune_embeddings else []
-        for name, arr in [*params.tensors(), *tuned]:
-            if not np.all(np.isfinite(arr)):
-                raise NumericalError(f"epoch {epoch}: {name} is non-finite after the updates")
+        # non-finite scores (in compute_gradients) and tensors (below) raise,
+        # so numpy need not warn on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), config.batch_size):
+                chunk = order[start:start + config.batch_size]
+                batch = []
+                for i in chunk:
+                    pair = trainset[int(i)]
+                    negative = sample_negative(trainset, int(i), rng)
+                    batch.append((pair.query, pair.reply, negative))
+                grads, mean_loss = compute_gradients(batch, params, vocab, matrix, config)
+                loss_sum += mean_loss * len(chunk)
+                adam_step(params, grads, state, config,
+                          matrix if config.fine_tune_embeddings else None)
+            # a diverged model would otherwise score its holdout and be saved;
+            # the scorer is saved as float32, so check the values it will store
+            stored = [(f"{name} (as float32)", quantize(arr)) for name, arr in params.tensors()]
+            tuned = [("fine-tuned embeddings", matrix)] if config.fine_tune_embeddings else []
+            for name, arr in [*stored, *tuned]:
+                if not np.all(np.isfinite(arr)):
+                    raise NumericalError(f"epoch {epoch}: {name} is non-finite after the updates")
         accuracy = _holdout_accuracy(
             holdout, params, vocab, matrix, config,
             np.random.default_rng([config.seed, epoch]),

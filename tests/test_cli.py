@@ -206,23 +206,23 @@ class TestTrainScorer:
         _, tuned = load_text_embeddings(ckpt + ".embeddings.txt")
         assert not np.array_equal(original, tuned)
 
-    # lr=inf times a zero moment is NaN, which numpy reports on its way
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("fine_tune", [False, True])
     def test_non_finite_update_is_exit_4(self, tmp_path, capsys, fine_tune):
-        """One Adam step at lr=inf diverges: exit 4 and nothing written."""
+        """One Adam step at lr=1e308 leaves weights finite in float64 but
+        not in the float32 checkpoint: exit 4, nothing written, no warning."""
         corpus, emb, _, _ = _write_training_corpus(tmp_path, n=40)
         ckpt = tmp_path / "inf.ckpt"
         argv = [
             "train-scorer", "--corpus", corpus, "--embeddings", emb,
             "--out", str(ckpt), "--hidden", "4", "--mlp-hidden", "6",
-            "--epochs", "1", "--batch-size", "64", "--lr", "inf",
+            "--epochs", "1", "--batch-size", "64", "--lr", "1e308",
         ]
         if fine_tune:
             argv.append("--fine-tune-embeddings")
         assert main(argv) == 4
         out, err = capsys.readouterr()
         assert "epoch 1" in err and "non-finite" in err
+        assert len(err.splitlines()) == 1
         assert "holdout_acc" not in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "train.tsv"]
 
@@ -499,7 +499,8 @@ class TestInputsEndInExitCodes:
     @pytest.mark.parametrize("command, option, value", [
         ("train-scorer", "--margin", "nan"), ("train-scorer", "--lr", "nan"),
         ("train-embeddings", "--lr", "nan"), ("report", "--jitter-sigma", "nan"),
-        ("report", "--jitter-sigma", "inf"),
+        ("report", "--jitter-sigma", "inf"), ("train-scorer", "--lr", "inf"),
+        ("train-scorer", "--margin", "inf"), ("train-embeddings", "--lr", "inf"),
     ])
     def test_undefined_option_value_is_exit_2(self, pipeline, tmp_path, capsys, command,
                                               option, value):
@@ -515,6 +516,58 @@ class TestInputsEndInExitCodes:
         assert main([command, *argv, option, value]) == 2
         name = option[2:].replace("-", "_")
         assert f"{name} must be" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("train-scorer", "--lr", "inf"), ("train-scorer", "--margin", "inf"),
+        ("train-scorer", "--lr", "nan"), ("train-embeddings", "--lr", "inf"),
+        ("train-embeddings", "--lr", "nan"),
+    ])
+    def test_undefined_option_value_is_refused_before_reading(self, tmp_path, capsys,
+                                                              command, option, value):
+        missing = str(tmp_path / "missing.tsv")  # reading it would be exit 3
+        argv = ["--corpus", missing, "--out", str(tmp_path / "out")]
+        if command == "train-scorer":
+            argv += ["--embeddings", missing]
+        assert main([command, *argv, option, value]) == 2
+        assert f"{option[2:]} must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("train-embeddings", "--dim", "1000000000000"),
+        ("train-embeddings", "--dim", str(10**18)),
+        ("train-embeddings", "--negatives", str(10**14)),
+        ("train-scorer", "--hidden", str(10**14)),
+        ("train-scorer", "--mlp-hidden", str(10**14)),
+        ("train-scorer", "--mlp-hidden", str(10**18)),
+    ])
+    def test_oversized_option_is_exit_2(self, pipeline, tmp_path, capsys, command, option,
+                                        value):
+        """Sizes numpy refuses at once: each is past the address space a process can map."""
+        argv = {
+            "train-embeddings": ["--corpus", pipeline["corpus"], "--out",
+                                 str(tmp_path / "v.txt"), "--min-count", "1"],
+            "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
+                             "--out", str(tmp_path / "s.ckpt"), "--epochs", "1",
+                             "--hidden", "2", "--mlp-hidden", "2"],
+        }[command]
+        assert main([command, *argv, option, value]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "too large to allocate" in line
+        assert f"{option[2:].replace('-', '_')}={value}" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("option, value", [
+        ("--bins", "0"), ("--bins", "-1"), ("--jitter-sigma", "-0.5"),
+    ])
+    def test_report_option_is_checked_before_writing(self, pipeline, tmp_path, capsys,
+                                                     option, value):
+        assert main([
+            "report", "--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
+            "--quantile-csv", str(tmp_path / "q.csv"),
+            "--scatter-dir", str(tmp_path / "scatter"), option, value,
+        ]) == 2
+        name = option[2:].replace("-", "_")
+        assert f"error: {name} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])

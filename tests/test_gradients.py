@@ -375,6 +375,81 @@ class TestPackedAgainstLoopOracle:
 
 
 # ---------------------------------------------------------------------------
+# the head backward, once per sub-batch, against the loop oracle
+
+HEAD_INSTANCES = 12
+_ACTIVE_SHARES = ("none", "one", "some", "all")
+
+
+def _head_instance(index):
+    """A seeded (batch, params, vocab, matrix, config) with chosen active hinges.
+
+    Every fourth instance holds a single active triple; the others hold
+    two full sub-batches and a remainder.  Sub-batch ``s`` makes none,
+    one, some or all of its triples active, in turn with ``index + s``:
+    each triple is oriented so that its score gap is negative (active)
+    or positive, and the margin is half the smallest positive gap.
+    Fine-tuning alternates.
+    """
+    rng = np.random.default_rng(13000 + index)
+    dim, hidden, mlp = (int(v) for v in rng.integers(2, 7, size=3))
+    n_tokens, max_len = int(rng.integers(3, 7)), int(rng.integers(2, 6))
+    vocab, matrix = toy_vocab_matrix(rng, n_tokens=n_tokens, dim=dim)
+    params = random_scorer_params(dim, hidden, mlp, rng)
+    n_triples = 1 if index % 4 == 3 else 2 * _SUB_BATCH + int(rng.integers(1, _SUB_BATCH))
+    active = []
+    for start in range(0, n_triples, _SUB_BATCH):
+        size = min(_SUB_BATCH, n_triples - start)
+        share = _ACTIVE_SHARES[(index + start // _SUB_BATCH) % 4] if n_triples > 1 else "all"
+        count = {"none": 0, "one": 1, "some": max(1, size // 2), "all": size}[share]
+        chosen = set(rng.choice(size, count, replace=False).tolist())
+        active += [i in chosen for i in range(size)]
+    batch, satisfied = [], []
+    for wanted in active:
+        query, pos, neg = (random_utterance(rng, n_tokens, max_len + 3) for _ in range(3))
+        gap = (unreferenced_score(query, pos, params, vocab, matrix, max_len)
+               - unreferenced_score(query, neg, params, vocab, matrix, max_len))
+        if (gap > 0.0) == wanted:
+            pos, neg, gap = neg, pos, -gap
+        batch.append((query, pos, neg))
+        if gap > 0.0:
+            satisfied.append(gap)
+    config = TrainConfig(hidden=hidden, mlp_hidden=mlp, max_len=max_len,
+                         margin=0.5 * min(satisfied) if satisfied else 1.0,
+                         fine_tune_embeddings=index % 2 == 1)
+    return batch, params, vocab, matrix, config
+
+
+class TestHeadBackwardAgainstLoopOracle:
+    @pytest.mark.parametrize("index", range(HEAD_INSTANCES))
+    def test_matches_per_pair_head(self, index):
+        _assert_matches_loop_oracle(*_head_instance(index))
+
+    def test_instances_cover_the_listed_cases(self):
+        seen = set()
+        for index in range(HEAD_INSTANCES):
+            batch, params, vocab, matrix, config = _head_instance(index)
+            seen.add(("fine_tune", config.fine_tune_embeddings))
+            n = len(batch)
+            if n > 2 * _SUB_BATCH and n % _SUB_BATCH:
+                seen.add("sub-batches and a remainder")
+            hinges = _hinges_active(batch, params, vocab, matrix, config)
+            if hinges == [True]:
+                seen.add("single active triple")
+            for start in range(0, n, _SUB_BATCH):
+                sub = hinges[start:start + _SUB_BATCH]
+                if len(sub) > 2:
+                    seen.add(("active in a sub-batch",
+                              "none" if not any(sub) else "one" if sum(sub) == 1
+                              else "all" if all(sub) else "some"))
+        assert seen == {
+            ("fine_tune", True), ("fine_tune", False), "sub-batches and a remainder",
+            "single active triple", *(("active in a sub-batch", share)
+                                      for share in _ACTIVE_SHARES),
+        }
+
+
+# ---------------------------------------------------------------------------
 # batch_loss (rows encoded together) against the per-pair loop oracle
 
 BATCH_INSTANCES = 40
