@@ -12,7 +12,7 @@ Two file layouts are supported for each loader:
   integer column per human annotator.
 * ``jsonl``: one JSON object per line with string values under
   ``query``/``reply`` (pairs) or ``query``/``groundtruth``/``candidate``
-  plus an integer array ``scores`` (annotated).
+  plus a non-empty integer array ``scores`` (annotated).
 """
 
 from __future__ import annotations
@@ -107,11 +107,11 @@ def load_pairs(path, format: str = "tsv") -> Dataset:
 def load_annotated(path, format: str = "tsv") -> Dataset:
     """Load human-annotated (query, groundtruth, candidate) triples.
 
-    Every row must carry the same number of annotator scores, each an
-    integer in {0, 1, 2}; violations raise :class:`ValidationError` with
-    the offending line number.  Rows where any of the three utterances
-    tokenizes to nothing are skipped and counted, like in
-    :func:`load_pairs`.
+    Every row must carry the same number of annotator scores, at least
+    one, each an integer in {0, 1, 2}; violations raise
+    :class:`ParseError` or :class:`ValidationError` with the offending
+    line number.  Rows where any of the three utterances tokenizes to
+    nothing are skipped and counted, like in :func:`load_pairs`.
     """
     return _load(path, format, AnnotatedPair)
 
@@ -147,6 +147,8 @@ def _load(path, format: str, pair_type) -> Dataset:
                 texts = [_json_value(obj, key, str, "a string", path, lineno) for key in keys]
                 if annotated:
                     items = _json_value(obj, "scores", list, "an array", path, lineno)
+                    if not items:  # the tsv layout's field count demands a score too
+                        raise ParseError(path, lineno, "key 'scores' must hold at least one score")
                     scores = [_json_score(item, path, lineno) for item in items]
             utterances = [tokenize(text) for text in texts]
             if n_annotators is None:

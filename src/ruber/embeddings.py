@@ -209,6 +209,8 @@ def check_sgns_options(dim, window, negatives, epochs, lr, min_count, seed) -> N
     """Raise :class:`~ruber.errors.ConfigError` on an unusable :func:`train_sgns` argument."""
     if dim < 1 or window < 1 or negatives < 1 or epochs < 1 or min_count < 1:
         raise ConfigError("dim, window, negatives, epochs and min_count must be >= 1")
+    if window >= 2**63:  # rng.integers(1, window + 1) draws int64 radii
+        raise ConfigError(f"window must be < 2**63, got {window}")
     if not 0 < lr < math.inf:  # chained so that NaN and infinity fail too
         raise ConfigError(f"lr must be positive and finite, got {lr}")
     if seed < 0:

@@ -7,13 +7,15 @@ head, product rules through the bilinear match feature, and
 back-propagation through time through both directions of both GRU
 encoders.  Samples whose loss clamps to zero contribute exactly nothing.
 
-The forward pass runs one pair at a time; the backward pass runs once
-per sub-batch of ``_SUB_BATCH`` triples, over those whose hinge is
-active.  Each triple's positive and negative pair are two rows of the
-head, which forms each head gradient as one product over the rows and
-reads the sentence vectors back from the MLP input features.  The
-query encoder takes one row per triple (both scores encode the same
-query, so its two heads' gradients are summed) and the reply encoder two.
+The forward pass runs one triple at a time: ``score_with_cache`` on
+the positive pair, then the negative reply alone against the query
+vector that call encoded.  The backward pass runs once per sub-batch of
+``_SUB_BATCH`` triples, over those whose hinge is active.  Each triple's
+positive and negative pair are two rows of the head, which forms each
+head gradient as one product over the rows and reads the sentence
+vectors back from the MLP input features.  The query encoder takes one
+row per triple (both scores read its one encoding, so its two heads'
+gradients are summed) and the reply encoder two.
 
 Back-propagation through time runs once per encoder direction over
 those rows, sorted longest first and aligned to end at the last step,
@@ -44,6 +46,7 @@ from .scorer import (
     ScorerParams,
     _encode_batch,
     _head,
+    _score_reply,
     score_with_cache,
     zero_scorer_params,
 )
@@ -124,13 +127,15 @@ def compute_gradients(
     grads = zero_scorer_params(params.embed_dim, params.hidden_size, params.mlp_size)
     emb_grad = np.zeros_like(matrix) if config.fine_tune_embeddings else None
 
+    two_h = 2 * params.hidden_size
     total = 0.0
     for start in range(0, len(batch), _SUB_BATCH):
         rows = []  # score caches of the hinge-active triples: positive, then negative
         for index in range(start, min(start + _SUB_BATCH, len(batch))):
             query, pos, neg = batch[index]
             s_pos, cache_pos = score_with_cache(query, pos, params, vocab, matrix, config.max_len)
-            s_neg, cache_neg = score_with_cache(query, neg, params, vocab, matrix, config.max_len)
+            s_neg, cache_neg = _score_reply(cache_pos.feats[:two_h], neg, params, vocab, matrix,
+                                            config.max_len, collect=True)
             if not (math.isfinite(s_pos) and math.isfinite(s_neg)):
                 raise NumericalError(
                     f"non-finite score at batch index {index}: "
@@ -139,7 +144,6 @@ def compute_gradients(
             loss = margin_loss(s_pos, s_neg, config.margin)
             total += loss
             if loss > 0.0:
-                cache_neg.query = None  # a second copy of the positive pair's query cache
                 rows += [cache_pos, cache_neg]
         if not rows:
             continue

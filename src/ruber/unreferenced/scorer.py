@@ -215,7 +215,7 @@ class EncodeCache:
 
 @dataclass
 class ScoreCache:
-    query: EncodeCache | None  # training drops a negative pair's copy
+    query: EncodeCache | None  # None when the query vector was encoded elsewhere
     reply: EncodeCache
     feats: np.ndarray   # (4H+1,) query vector, reply vector, bilinear match
     hidden: np.ndarray  # (m,) tanh activations
@@ -336,8 +336,8 @@ def _head(qvecs: np.ndarray, rvecs: np.ndarray, params: ScorerParams):
     return scores, feats, hidden
 
 
-def _score_internal(
-    query: Utterance,
+def _score_reply(
+    qvec: np.ndarray,
     reply: Utterance,
     params: ScorerParams,
     vocab: Vocabulary,
@@ -345,11 +345,11 @@ def _score_internal(
     max_len: int,
     collect: bool,
 ):
-    qids, rids = _token_ids(query, vocab, max_len), _token_ids(reply, vocab, max_len)
-    qvec, qcache = _encode_ids(qids, params.query_encoder, matrix, collect=collect)
-    rvec, rcache = _encode_ids(rids, params.reply_encoder, matrix, collect=collect)
+    """Score of ``reply`` against the (2H,) query vector ``qvec``; the cache has no query."""
+    rvec, rcache = _encode_ids(_token_ids(reply, vocab, max_len), params.reply_encoder,
+                               matrix, collect=collect)
     (score,), feats, hidden = _head(qvec, rvec, params)
-    return score, (ScoreCache(qcache, rcache, feats, hidden, score) if collect else None)
+    return score, (ScoreCache(None, rcache, feats, hidden, score) if collect else None)
 
 
 def unreferenced_score(
@@ -365,7 +365,8 @@ def unreferenced_score(
     Not symmetric: query and reply run through different encoders and
     enter the bilinear form on different sides.
     """
-    score, _ = _score_internal(query, reply, params, vocab, matrix, max_len, collect=False)
+    qvec = encode(query, params.query_encoder, vocab, matrix, max_len)
+    score, _ = _score_reply(qvec, reply, params, vocab, matrix, max_len, collect=False)
     return score
 
 
@@ -378,4 +379,8 @@ def score_with_cache(
     max_len: int = TrainConfig.max_len,
 ) -> tuple[float, ScoreCache]:
     """Like :func:`unreferenced_score` but keeps everything backprop needs."""
-    return _score_internal(query, reply, params, vocab, matrix, max_len, collect=True)
+    qids = _token_ids(query, vocab, max_len)
+    qvec, qcache = _encode_ids(qids, params.query_encoder, matrix, collect=True)
+    score, cache = _score_reply(qvec, reply, params, vocab, matrix, max_len, collect=True)
+    cache.query = qcache
+    return score, cache

@@ -570,6 +570,32 @@ class TestInputsEndInExitCodes:
         assert f"error: {name} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    def test_window_past_int64_is_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.tsv")  # reading it would be exit 3
+        assert main(["train-embeddings", "--corpus", missing, "--out", str(tmp_path / "v.txt"),
+                     "--window", str(2**63)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: window must be < 2**63, got {2**63}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+    def test_largest_window_still_trains(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        assert main(["train-embeddings", "--corpus", pipeline["corpus"], "--out", str(out),
+                     "--dim", "4", "--epochs", "1", "--min-count", "1",
+                     "--window", str(2**63 - 1)]) == 0
+        assert out.exists()
+
+    def test_jsonl_row_without_scores_is_exit_3(self, pipeline, tmp_path, capsys):
+        row = {"query": "topic1 flr2", "groundtruth": "topic1", "candidate": "flr3",
+               "scores": []}
+        data = write_lines(tmp_path / "ann.jsonl", [json.dumps(row)])
+        out = tmp_path / "scores.tsv"
+        assert main(["score", "--data", data, "--format", "jsonl", "--embeddings",
+                     pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {data}:1: key 'scores' must hold at least one score"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
     def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, capsys, cell):
         lines = open(pipeline["scores"]).read().splitlines()

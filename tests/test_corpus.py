@@ -217,6 +217,16 @@ class TestLoadAnnotated:
         ds = load_annotated(path, format="jsonl")
         assert ds[0].human_scores == [2, 0]
 
+    @pytest.mark.parametrize("first_scores", [[], [1]])
+    def test_jsonl_row_without_scores_is_parse_error(self, tmp_path, first_scores):
+        """Like a tsv row without a score column, whether or not it comes first."""
+        rows = [{"query": "a", "groundtruth": "b", "candidate": "c", "scores": first_scores},
+                {"query": "a", "groundtruth": "b", "candidate": "c", "scores": []}]
+        path = write_lines(tmp_path / "ann.jsonl", [json.dumps(row) for row in rows])
+        line = 2 if first_scores else 1
+        with pytest.raises(ParseError, match=f"ann.jsonl:{line}: key 'scores' must hold at least"):
+            load_annotated(path, format="jsonl")
+
     def test_empty_utterance_rows_skipped(self, tmp_path):
         path = write_lines(tmp_path / "ann.tsv", [
             "q\tg\tc\t1",

@@ -13,6 +13,7 @@ from ruber.unreferenced import (
     margin_loss,
     unreferenced_score,
 )
+from ruber.unreferenced import gradients, scorer
 from ruber.unreferenced.gradients import _SUB_BATCH, batch_loss
 
 
@@ -166,6 +167,42 @@ class TestComputeGradients:
         params.bilinear[0, 0] = np.nan
         with pytest.raises(NumericalError):
             compute_gradients(batch, params, vocab, matrix, config)
+
+    def test_each_query_is_encoded_once(self, monkeypatch):
+        """One query encode per triple: the negative reuses the positive's."""
+        rng, vocab, matrix, params, config, _ = self._setup(60)
+        batch = [_random_triple(rng) for _ in range(_SUB_BATCH + 3)]
+        encoders = []
+        encode_ids = scorer._encode_ids
+
+        def counting(ids, encoder, *args, **kwargs):
+            encoders.append(encoder)
+            return encode_ids(ids, encoder, *args, **kwargs)
+
+        monkeypatch.setattr(scorer, "_encode_ids", counting)
+        compute_gradients(batch, params, vocab, matrix, config)
+        assert sum(e is params.query_encoder for e in encoders) == len(batch)
+        assert sum(e is params.reply_encoder for e in encoders) == 2 * len(batch)
+
+    def test_scores_equal_unreferenced_score(self, monkeypatch):
+        """Both scores of every triple are bitwise the public scorer's."""
+        rng, vocab, matrix, params, _, _ = self._setup(61)
+        config = TrainConfig(hidden=3, mlp_hidden=5, max_len=4)
+        batch = [_random_triple(rng, max_tokens=7) for _ in range(_SUB_BATCH + 3)]
+        seen = []
+        hinge = gradients.margin_loss
+
+        def recording(s_pos, s_neg, margin):
+            seen.append((s_pos, s_neg))
+            return hinge(s_pos, s_neg, margin)
+
+        monkeypatch.setattr(gradients, "margin_loss", recording)
+        compute_gradients(batch, params, vocab, matrix, config)
+        assert seen == [
+            tuple(unreferenced_score(query, reply, params, vocab, matrix, config.max_len)
+                  for reply in (pos, neg))
+            for query, pos, neg in batch
+        ]
 
     def test_batch_loss_matches_gradient_loss(self):
         _, vocab, matrix, params, config, batch = self._setup(59)
