@@ -205,6 +205,10 @@ def _parse_json_object(path, lineno: int, line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(path, lineno, f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(path, lineno, "invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # beyond Python's limit on integer digits
+        raise ParseError(path, lineno, "invalid JSON: integer too long") from exc
     if not isinstance(obj, dict):
         raise ParseError(path, lineno, "expected a JSON object")
     return obj
@@ -216,6 +220,12 @@ def _json_value(obj: dict, key: str, kind: type, noun: str, path, lineno: int):
     value = obj[key]
     if not isinstance(value, kind):
         raise ParseError(path, lineno, f"key {key!r} must hold {noun}")
+    if kind is str:
+        try:  # JSON escapes can spell a lone surrogate, which no UTF-8 output can hold
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError(path, lineno, f"key {key!r} holds a lone surrogate, "
+                             "which is not Unicode text") from exc
     return value
 
 

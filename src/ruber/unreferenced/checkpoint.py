@@ -111,7 +111,7 @@ def load_checkpoint(
     (blob_len,) = struct.unpack("<I", reader.take(4))
     try:
         blob = json.loads(reader.take(blob_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise CheckpointFormatError(f"{path}: corrupt config block") from exc
     try:
         embed_dim = blob.pop("embed_dim")

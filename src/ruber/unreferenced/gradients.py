@@ -19,13 +19,14 @@ gradients are summed) and the reply encoder two.
 
 Back-propagation through time runs once per encoder direction over
 those rows, sorted longest first and aligned to end at the last step,
-so the rows alive at step ``t`` are a prefix of ``k[t]`` rows.  Their
-per-step caches (:class:`~.scorer.DirectionCache`) are packed step by
-step into (sum of k[t], H) arrays with no padding and no mask, and one
-``(k[t], H)`` state gradient walks them from the last step to the first,
-dropping the rows that start at each step.  Weight and embedding
-gradients come from products over blocks of at most ``_BLOCK_ROWS``
-packed rows.
+so the rows alive at step ``t`` are a prefix of ``k[t]`` rows.  Each
+direction's step records (:class:`~.scorer.EncodeCache`) and token ids
+are packed once, step by step, into a (sum of k[t], 4H) array and its
+ids, with no padding and no mask; the inputs are read back from the
+embedding matrix by those ids.  One ``(k[t], H)`` state gradient walks
+the steps from the last to the first, dropping the rows that start at
+each step.  Weight and embedding gradients come from products over
+blocks of at most ``_BLOCK_ROWS`` packed rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ..errors import NumericalError
 from .config import TrainConfig
 from .scorer import (
     BiGruEncoder,
-    DirectionCache,
     EncodeCache,
     GruParams,
     ScoreCache,
@@ -149,9 +149,9 @@ def compute_gradients(
             continue
         dq, dr = _backward_head(rows, params, grads)
         _backward_encoder([cache.query for cache in rows[::2]], dq[::2] + dq[1::2],
-                          params.query_encoder, grads.query_encoder, emb_grad)
+                          params.query_encoder, grads.query_encoder, matrix, emb_grad)
         _backward_encoder([cache.reply for cache in rows], dr,
-                          params.reply_encoder, grads.reply_encoder, emb_grad)
+                          params.reply_encoder, grads.reply_encoder, matrix, emb_grad)
 
     scale = 1.0 / len(batch)
     for _, arr in grads.tensors():
@@ -198,6 +198,7 @@ def _backward_encoder(
     dvecs: np.ndarray,
     encoder: BiGruEncoder,
     gencoder: BiGruEncoder,
+    matrix: np.ndarray,
     emb_grad: np.ndarray | None,
 ) -> None:
     """BPTT through both directions of one encoder for every row at once.
@@ -208,6 +209,7 @@ def _backward_encoder(
     the last step, so the rows alive at step ``t`` are the first
     ``counts[t]`` of them; ``gather`` picks, step by step, those rows'
     entries out of the row-major concatenation of their caches.
+    ``matrix`` is the embedding matrix the forward pass read.
     """
     order = sorted(range(len(caches)), key=lambda i: len(caches[i].ids), reverse=True)
     caches = [caches[i] for i in order]
@@ -221,38 +223,38 @@ def _backward_encoder(
     hidden = encoder.hidden_size
     ids = [cache.ids for cache in caches]
     _backward_direction([c.fwd for c in caches], ids, gather, counts, dvecs[:, :hidden],
-                        encoder.forward, gencoder.forward, emb_grad)
+                        encoder.forward, gencoder.forward, matrix, emb_grad)
     # the backward direction consumed each row reversed
     _backward_direction([c.bwd for c in caches], [row[::-1] for row in ids], gather, counts,
-                        dvecs[:, hidden:], encoder.backward, gencoder.backward, emb_grad)
+                        dvecs[:, hidden:], encoder.backward, gencoder.backward, matrix,
+                        emb_grad)
 
 
 def _backward_direction(
-    dcaches: list[DirectionCache],
+    records: list[np.ndarray],
     ids: list[list[int]],
     gather: np.ndarray,
     counts: np.ndarray,
     dh_last: np.ndarray,
     p: GruParams,
     gp: GruParams,
+    matrix: np.ndarray,
     emb_grad: np.ndarray | None,
 ) -> None:
     """BPTT through one direction of packed rows.
 
     Packed row ``i`` holds entry ``gather[i]`` of the row-major
-    concatenation of ``dcaches`` (and of ``ids``, the token ids in the
-    order this direction consumed them); step ``t`` owns the
+    concatenation of the step ``records`` (and of ``ids``, the token ids
+    in the order this direction consumed them); step ``t`` owns the
     ``counts[t]`` packed rows after those of the earlier steps.  The six
     weight gradients follow from row blocks of the recorded
     pre-activation gradients.  With ``emb_grad`` given, the input
     gradients of the packed rows are added to it.
     """
-
-    def pack(name):
-        return np.concatenate([getattr(c, name) for c in dcaches])[gather]
-
-    d_a, d_c = _packed_bptt(pack, counts, dh_last, p)
-    xs, h_prev, reset = pack("xs"), pack("h_prev"), pack("reset")
+    tokens = np.concatenate(ids)[gather]
+    h_prev, reset, update, cand = np.split(np.concatenate(records)[gather], 4, axis=1)
+    d_a, d_c = _packed_bptt(h_prev, reset, update, cand, counts, dh_last, p)
+    xs = matrix[tokens]
     blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(gather), _BLOCK_ROWS)]
     for rows in blocks:
         gp.w_gates += d_a[rows].T @ xs[rows]
@@ -264,27 +266,28 @@ def _backward_direction(
     if emb_grad is not None:
         dx = np.concatenate([d_a[rows] @ p.w_gates + d_c[rows] @ p.w_cand for rows in blocks])
         # np.add.at so repeated token ids accumulate instead of overwrite
-        np.add.at(emb_grad, np.concatenate(ids)[gather], dx)
+        np.add.at(emb_grad, tokens, dx)
 
 
-def _packed_bptt(pack, counts: np.ndarray, dh: np.ndarray, p: GruParams):
+def _packed_bptt(h_prev, reset, update, cand, counts: np.ndarray, dh: np.ndarray,
+                 p: GruParams):
     """Pre-activation gradients ``(d_a, d_c)`` of every packed row.
 
-    ``a`` stacks the reset/update gate pre-activations (N, 2H) and ``c``
-    is the candidate pre-activation (N, H).  The steps run last to
-    first; ``dh`` starts as the (rows, H) gradient of the final states
-    and keeps its first ``counts[t]`` rows at step ``t``.  The per-step
-    factors live only in this frame, so they are freed before the caller
-    forms the weight gradients.
+    ``h_prev``, ``reset``, ``update`` and ``cand`` are the (N, H) packed
+    step values; ``a`` stacks the reset/update gate pre-activations
+    (N, 2H) and ``c`` is the candidate pre-activation (N, H).  The steps
+    run last to first; ``dh`` starts as the (rows, H) gradient of the
+    final states and keeps its first ``counts[t]`` rows at step ``t``.
+    The per-step gains live only in this frame and are freed on return,
+    before the caller forms the weight gradients; the step values are
+    views of the caller's packed array.
     """
-    h_prev, reset, update, cand = (pack(name) for name in ("h_prev", "reset", "update", "cand"))
     hidden = p.hidden_size
     # per-step factors that do not depend on the incoming gradient
     keep = 1.0 - update                                   # dh_prev / dh, direct path
     cand_gain = update * (1.0 - cand ** 2)                # dc / dh
     update_gain = (cand - h_prev) * update * keep         # d(update pre-act) / dh
     reset_gain = h_prev * reset * (1.0 - reset)           # d(reset pre-act) / d(reset*h)
-    del h_prev, update, cand
     d_a = np.empty((len(keep), 2 * hidden))
     d_c = np.empty((len(keep), hidden))
     end = len(keep)

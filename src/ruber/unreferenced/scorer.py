@@ -191,26 +191,19 @@ def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams) -> np.ndarr
 
 
 @dataclass
-class DirectionCache:
-    """Per-step values of one GRU direction, stacked along the time axis.
+class EncodeCache:
+    """One row's token ids and the step record of each GRU direction.
 
-    Row ``t`` of every array belongs to step ``t`` in consumption order
-    (reversed for the backward direction), so backprop can form each
-    weight gradient as one matrix product over all steps.
+    ``fwd`` and ``bwd`` are (T, 4H).  Row ``t`` belongs to step ``t`` in
+    consumption order (reversed for the backward direction) and holds,
+    H columns each, the state entering the step, the reset gate, the
+    update gate and the candidate state.  Backprop reads the inputs back
+    from the embedding matrix by ``ids``.
     """
 
-    xs: np.ndarray      # (T, d) inputs as consumed
-    h_prev: np.ndarray  # (T, H) state entering each step
-    reset: np.ndarray   # (T, H) reset gate
-    update: np.ndarray  # (T, H) update gate
-    cand: np.ndarray    # (T, H) candidate state
-
-
-@dataclass
-class EncodeCache:
     ids: list[int]
-    fwd: DirectionCache
-    bwd: DirectionCache
+    fwd: np.ndarray
+    bwd: np.ndarray
 
 
 @dataclass
@@ -231,8 +224,8 @@ def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, pad=None, collec
     marks the steps that lie outside a row: their update-gate
     pre-activation is -inf, so the update gate is exactly 0 and the
     state passes through unchanged.  Returns the final state and, when
-    ``collect`` is set (one row only), the :class:`DirectionCache` of
-    every step (else None).
+    ``collect`` is set (one row only), the (T, 4H) step record laid out
+    as in :class:`EncodeCache` (else None).
     """
     hidden = params.hidden_size
     gate_in = xs @ params.w_gates.T + params.b_gates
@@ -240,22 +233,16 @@ def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, pad=None, collec
     if pad is not None:
         gate_in[pad, hidden:] = -np.inf
     u_gates, u_cand = params.u_gates.T, params.u_cand.T
-    cache = None
-    if collect:
-        stacked = (len(xs), hidden)
-        cache = DirectionCache(xs, np.empty(stacked), np.empty(stacked),
-                               np.empty(stacked), np.empty(stacked))
+    steps = np.empty((len(xs), 4 * hidden)) if collect else None
     for t in range(len(xs)):
         gates = sigmoid(gate_in[t] + h @ u_gates)
         reset, update = gates[..., :hidden], gates[..., hidden:]
         cand = np.tanh(cand_in[t] + (reset * h) @ u_cand)
         if collect:
-            cache.h_prev[t] = h
-            cache.reset[t] = reset
-            cache.update[t] = update
-            cache.cand[t] = cand
+            step = steps[t]
+            step[:hidden], step[hidden:3 * hidden], step[3 * hidden:] = h, gates, cand
         h = (1.0 - update) * h + update * cand
-    return h, cache
+    return h, steps
 
 
 def _token_ids(utterance: Utterance, vocab: Vocabulary, max_len: int) -> list[int]:

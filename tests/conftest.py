@@ -81,3 +81,21 @@ def rewrite_checkpoint_header(data: bytes, **changes) -> bytes:
     blob.update(changes)
     encoded = json.dumps(blob, sort_keys=True).encode("utf-8")
     return data[:6] + struct.pack("<I", len(encoded)) + encoded + data[10 + blob_len:]
+
+
+# JSON that is valid but that Python's decoder refuses: nesting past the
+# recursion limit, and an integer past the limit on digits it converts.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_JSON_INT = "7" * 5_000
+
+
+def splice_checkpoint_header(data: bytes, field: str, raw: str) -> bytes:
+    """Checkpoint bytes whose config-block ``field`` holds the JSON text ``raw``.
+
+    For values such as :data:`DEEP_JSON` that ``json.dumps`` cannot write.
+    """
+    data = rewrite_checkpoint_header(data, **{field: None})
+    (blob_len,) = struct.unpack_from("<I", data, 6)
+    block = data[10:10 + blob_len].decode("utf-8")
+    encoded = block.replace(f'"{field}": null', f'"{field}": {raw}').encode("utf-8")
+    return data[:6] + struct.pack("<I", len(encoded)) + encoded + data[10 + blob_len:]

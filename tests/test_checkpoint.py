@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import random_scorer_params, rewrite_checkpoint_header
+from conftest import (
+    DEEP_JSON,
+    LONG_JSON_INT,
+    random_scorer_params,
+    rewrite_checkpoint_header,
+    splice_checkpoint_header,
+)
 from ruber.errors import CheckpointFormatError, CompatibilityError
 from ruber.unreferenced import checkpoint as checkpoint_mod
 from ruber.unreferenced import (
@@ -149,6 +155,15 @@ class TestFormatErrors:
         bad = tmp_path / "header.ckpt"
         bad.write_bytes(rewrite_checkpoint_header(data, **changes))
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("raw", [DEEP_JSON, LONG_JSON_INT], ids=["deep", "long-int"])
+    def test_header_json_beyond_python_limits(self, tmp_path, raw):
+        """Valid JSON that Python's decoder refuses is a corrupt block, not a crash."""
+        path, data = self._saved(tmp_path)
+        bad = tmp_path / "limits.ckpt"
+        bad.write_bytes(splice_checkpoint_header(data, "hidden", raw))
+        with pytest.raises(CheckpointFormatError, match="corrupt config block"):
             load_checkpoint(str(bad))
 
     def test_non_object_header(self, tmp_path):

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import rewrite_checkpoint_header, separable_corpus, write_lines
+from conftest import (
+    DEEP_JSON,
+    LONG_JSON_INT,
+    rewrite_checkpoint_header,
+    separable_corpus,
+    splice_checkpoint_header,
+    write_lines,
+)
 from ruber.cli import main
 from ruber.embeddings import load_text_embeddings, save_text_embeddings, train_sgns
 from ruber.scoretable import read_score_table
@@ -594,6 +601,44 @@ class TestInputsEndInExitCodes:
                      pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: {data}:1: key 'scores' must hold at least one score"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        (f'{{"query": "a b", "reply": "c", "x": {DEEP_JSON}}}', "invalid JSON: nested too deeply"),
+        (f'{{"query": "a b", "reply": "c", "x": {LONG_JSON_INT}}}',
+         "invalid JSON: integer too long"),
+        ('{"query": "\\ud800 a", "reply": "c"}', "key 'query' holds a lone surrogate"),
+    ], ids=["deep", "long-int", "lone-surrogate"])
+    def test_jsonl_corpus_python_refuses_is_exit_3(self, tmp_path, capsys, row, message):
+        corpus = write_lines(tmp_path / "c.jsonl", [row])
+        out = tmp_path / "v.txt"
+        assert main(["train-embeddings", "--corpus", corpus, "--format", "jsonl",
+                     "--out", str(out), "--dim", "4", "--epochs", "1", "--min-count", "1"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {corpus}:1: {message}")
+        assert not out.exists()
+
+    def test_annotated_lone_surrogate_is_exit_3(self, pipeline, tmp_path, capsys):
+        row = {"query": "topic1 flr2", "groundtruth": "topic1", "candidate": "\udc00",
+               "scores": [1]}
+        data = write_lines(tmp_path / "ann.jsonl", [json.dumps(row)])
+        out = tmp_path / "scores.tsv"
+        assert main(["score", "--data", data, "--format", "jsonl", "--embeddings",
+                     pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {data}:1: key 'candidate' holds a lone surrogate")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", [DEEP_JSON, LONG_JSON_INT], ids=["deep", "long-int"])
+    def test_checkpoint_header_python_refuses_is_exit_3(self, pipeline, tmp_path, capsys, raw):
+        bad = tmp_path / "header.ckpt"
+        with open(pipeline["ckpt"], "rb") as fh:
+            bad.write_bytes(splice_checkpoint_header(fh.read(), "hidden", raw))
+        out = tmp_path / "x.tsv"
+        assert main(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                     "--checkpoint", str(bad), "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {bad}: corrupt config block"
         assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import write_lines
+from conftest import DEEP_JSON, LONG_JSON_INT, write_lines
 from ruber.corpus import (
     AnnotatedPair,
     QueryReplyPair,
@@ -235,6 +235,48 @@ class TestLoadAnnotated:
         ds = load_annotated(path)
         assert len(ds) == 1
         assert ds.skipped == 1
+
+
+_JSONL_ROWS = {
+    load_pairs: {"query": "a b", "reply": "c"},
+    load_annotated: {"query": "a", "groundtruth": "b", "candidate": "c", "scores": [1]},
+}
+
+
+class TestJsonlValuesPythonRefuses:
+    """Valid JSON that Python cannot decode, or that decodes to a string
+    UTF-8 cannot hold, is a parse error naming its line."""
+
+    @pytest.mark.parametrize("loader", list(_JSONL_ROWS))
+    @pytest.mark.parametrize("raw, message", [(DEEP_JSON, "nested too deeply"),
+                                              (LONG_JSON_INT, "integer too long")],
+                             ids=["deep", "long-int"])
+    def test_undecodable_value(self, tmp_path, loader, raw, message):
+        good = json.dumps(_JSONL_ROWS[loader])
+        bad = good[:-1] + f', "extra": {raw}}}'
+        path = write_lines(tmp_path / "c.jsonl", [good, bad])
+        with pytest.raises(ParseError, match=f"c.jsonl:2: invalid JSON: {message}$"):
+            loader(path, format="jsonl")
+
+    @pytest.mark.parametrize("loader, key", [(load_pairs, "query"), (load_pairs, "reply"),
+                                             (load_annotated, "query"),
+                                             (load_annotated, "groundtruth"),
+                                             (load_annotated, "candidate")])
+    @pytest.mark.parametrize("surrogate", ["\ud800", "\udfff"], ids=["high", "low"])
+    def test_lone_surrogate(self, tmp_path, loader, key, surrogate):
+        good = _JSONL_ROWS[loader]
+        row = json.dumps({**good, key: surrogate + " x"})
+        assert row.isascii()  # json.dumps escapes the surrogate, so the file is valid UTF-8
+        path = write_lines(tmp_path / "c.jsonl", [json.dumps(good), row])
+        with pytest.raises(ParseError, match=f"c.jsonl:2: key '{key}' holds a lone surrogate"):
+            loader(path, format="jsonl")
+
+    @pytest.mark.parametrize("loader", list(_JSONL_ROWS))
+    def test_surrogate_pair_is_text(self, tmp_path, loader):
+        row = json.dumps({**_JSONL_ROWS[loader], "query": "\U0001f600 a"})
+        assert "\\ud83d\\ude00" in row
+        ds = loader(write_lines(tmp_path / "c.jsonl", [row]), format="jsonl")
+        assert ds[0].query == ["\U0001f600", "a"]
 
 
 class TestUtterancesOf:

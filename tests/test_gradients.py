@@ -323,6 +323,28 @@ class TestAgainstLoopOracle:
 
 
 # ---------------------------------------------------------------------------
+# the step records the forward pass keeps for BPTT, against the loop oracle
+
+
+class TestStepRecords:
+    @pytest.mark.parametrize("index", range(8))
+    def test_match_per_step_values(self, index):
+        """Each row is the step's (state entering it, reset, update, candidate)."""
+        batch, params, vocab, matrix, config = _oracle_instance(index)
+        query, reply, _ = batch[0]
+        reply = reply * (config.max_len + 1)  # a row truncated at max_len
+        _, cache = scorer.score_with_cache(query, reply, params, vocab, matrix, config.max_len)
+        for utterance, encoder, got in [(query, params.query_encoder, cache.query),
+                                        (reply, params.reply_encoder, cache.reply)]:
+            ref = oracles._loop_encode(utterance, encoder, vocab, matrix, config.max_len)
+            assert got.ids == ref["ids"]
+            for direction in ("fwd", "bwd"):
+                want = np.array([np.hstack(step) for step in ref[direction][1]])
+                assert getattr(got, direction).shape == want.shape
+                assert _within_oracle_tolerance(getattr(got, direction), want), direction
+
+
+# ---------------------------------------------------------------------------
 # packed BPTT over batches of several sub-batches, against the loop oracle
 
 PACKED_INSTANCES = 16
