@@ -52,8 +52,8 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
             f"header declares {declared} rows but file has {len(lines) - 1}",
         )
 
-    # grows with the rows read, never to (declared, dim): the header may lie
-    tokens: list[str] = []
+    # grow with the rows read, never to (declared, dim): the header may lie
+    seen: dict[str, None] = {}  # the tokens in row order; row i is on line i + 2
     values = array("d")
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()
@@ -62,7 +62,11 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
                 path, lineno,
                 f"expected a token and {dim} values, found {len(parts)} field(s)",
             )
-        tokens.append(parts[0])
+        token = parts[0]
+        if token in seen:
+            first = list(seen).index(token) + 2
+            raise ParseError(path, lineno, f"token {token!r} repeats line {first}")
+        seen[token] = None
         try:
             row = [float(p) for p in parts[1:]]
         except ValueError as exc:
@@ -72,19 +76,13 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
         values.extend(row)
     rows = np.frombuffer(values).reshape(declared, dim)
 
-    if tokens.count(UNK_TOKEN) > 1:
-        raise ParseError(path, 1, f"more than one {UNK_TOKEN!r} row")
-    try:
-        if UNK_TOKEN in tokens:
-            at = tokens.index(UNK_TOKEN)
-            vocab = Vocabulary(tokens[:at] + tokens[at + 1:])
-            matrix = np.vstack([rows[at:at + 1], rows[:at], rows[at + 1:]])
-        else:
-            vocab = Vocabulary(tokens)
-            matrix = np.vstack([rows.mean(axis=0, keepdims=True), rows])
-    except ValueError as exc:
-        raise ParseError(path, 1, str(exc)) from exc
-    return vocab, matrix
+    if UNK_TOKEN in seen:
+        at = list(seen).index(UNK_TOKEN)
+        del seen[UNK_TOKEN]
+        matrix = np.vstack([rows[at:at + 1], rows[:at], rows[at + 1:]])
+    else:
+        matrix = np.vstack([rows.mean(axis=0, keepdims=True), rows])
+    return Vocabulary(seen), matrix
 
 
 def save_text_embeddings(vocab: Vocabulary, matrix: np.ndarray, path) -> None:
@@ -158,18 +156,14 @@ def train_sgns(
         )
 
     sentences: list[list[int]] = []
-    counts = np.zeros(len(vocab), dtype=float)
     for pair in dataset:
         for utt in utterances_of(pair):
             ids = [vocab.id_of(t) for t in utt]
             ids = [i for i in ids if i != 0]  # rare words drop out of the stream
             if ids:
                 sentences.append(ids)
-                for i in ids:
-                    counts[i] += 1.0
-
-    if not sentences:
-        raise ValidationError("every sentence became empty after min_count filtering")
+    # never empty: each kept token occurs in some utterance, which keeps its id
+    counts = np.bincount(np.concatenate(sentences), minlength=len(vocab)).astype(float)
 
     # Cumulative unigram^0.75 table over ids 1..V for inverse-CDF sampling.
     noise = counts[1:] ** 0.75

@@ -145,6 +145,7 @@ def read_score_table(path) -> ScoreTable:
     normalization: dict[str, tuple[float, float]] = {}
     source = ""
     header: list[str] | None = None
+    header_line = 1  # stays 1 when the file has no header
     rows: list[tuple[int, list[str]]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -161,7 +162,7 @@ def read_score_table(path) -> ScoreTable:
                     normalization[name] = (lo, hi)
                 continue
             if header is None:
-                header = line.split("\t")
+                header, header_line = line.split("\t"), lineno
                 continue
             cells = line.split("\t")
             if len(cells) != len(header):
@@ -171,11 +172,11 @@ def read_score_table(path) -> ScoreTable:
                 )
             rows.append((lineno, cells))
     if header is None or not rows:
-        raise ParseError(path, 1, "no table content found")
+        raise ParseError(path, header_line, "no table content found")
 
     k = sum(1 for name in header if name.startswith("human_") and name != "human_mean")
     if k < 1 or "human_mean" not in header:
-        raise ParseError(path, 1, "missing annotator columns or human_mean")
+        raise ParseError(path, header_line, "missing annotator columns or human_mean")
     metric_names = header[k + 1:]
     human_rows = []
     metric_rows = []

@@ -17,12 +17,13 @@ vectors back from the MLP input features.  The query encoder takes one
 row per triple (both scores read its one encoding, so its two heads'
 gradients are summed) and the reply encoder two.
 
-Back-propagation through time runs once per encoder direction over
-those rows, sorted longest first and aligned to end at the last step,
-so the rows alive at step ``t`` are a prefix of ``k[t]`` rows.  Each
-direction's step records (:class:`~.scorer.EncodeCache`) and token ids
-are packed once, step by step, into a (sum of k[t], 4H) array and its
-ids, with no padding and no mask; the inputs are read back from the
+One function, ``_backward_encoder``, packs an encoder's rows, runs
+back-propagation through time over both GRU directions and forms their
+weight gradients.  The rows are sorted longest first and aligned to end
+at the last step, so the rows alive at step ``t`` are a prefix of
+``k[t]`` rows.  Each direction's step records (:class:`~.scorer.EncodeCache`)
+and token ids are packed step by step into a (sum of k[t], 4H) array and
+its ids, with no padding and no mask; the inputs are read back from the
 embedding matrix by those ids.  One ``(k[t], H)`` state gradient walks
 the steps from the last to the first, dropping the rows that start at
 each step.  Weight and embedding gradients come from products over
@@ -207,9 +208,13 @@ def _backward_encoder(
     gradients with respect to their sentence vectors.  The rows are
     sorted longest first (ties keep their order) and aligned to end at
     the last step, so the rows alive at step ``t`` are the first
-    ``counts[t]`` of them; ``gather`` picks, step by step, those rows'
-    entries out of the row-major concatenation of their caches.
-    ``matrix`` is the embedding matrix the forward pass read.
+    ``counts[t]`` of them; packed row ``i`` holds entry ``gather[i]`` of
+    the row-major concatenation of a direction's step records and of its
+    token ids, in the order that direction consumed them.  Each
+    direction's six weight gradients follow from row blocks of its
+    recorded pre-activation gradients; with ``emb_grad`` given, the input
+    gradients of the packed rows are added to it.  ``matrix`` is the
+    embedding matrix the forward pass read.
     """
     order = sorted(range(len(caches)), key=lambda i: len(caches[i].ids), reverse=True)
     caches = [caches[i] for i in order]
@@ -220,53 +225,32 @@ def _backward_encoder(
     alive = t >= steps - lengths                             # (T, rows)
     gather = (np.cumsum(lengths) - steps + t)[alive]
     counts = alive.sum(axis=1)
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(gather), _BLOCK_ROWS)]
     hidden = encoder.hidden_size
     ids = [cache.ids for cache in caches]
-    _backward_direction([c.fwd for c in caches], ids, gather, counts, dvecs[:, :hidden],
-                        encoder.forward, gencoder.forward, matrix, emb_grad)
-    # the backward direction consumed each row reversed
-    _backward_direction([c.bwd for c in caches], [row[::-1] for row in ids], gather, counts,
-                        dvecs[:, hidden:], encoder.backward, gencoder.backward, matrix,
-                        emb_grad)
-
-
-def _backward_direction(
-    records: list[np.ndarray],
-    ids: list[list[int]],
-    gather: np.ndarray,
-    counts: np.ndarray,
-    dh_last: np.ndarray,
-    p: GruParams,
-    gp: GruParams,
-    matrix: np.ndarray,
-    emb_grad: np.ndarray | None,
-) -> None:
-    """BPTT through one direction of packed rows.
-
-    Packed row ``i`` holds entry ``gather[i]`` of the row-major
-    concatenation of the step ``records`` (and of ``ids``, the token ids
-    in the order this direction consumed them); step ``t`` owns the
-    ``counts[t]`` packed rows after those of the earlier steps.  The six
-    weight gradients follow from row blocks of the recorded
-    pre-activation gradients.  With ``emb_grad`` given, the input
-    gradients of the packed rows are added to it.
-    """
-    tokens = np.concatenate(ids)[gather]
-    h_prev, reset, update, cand = np.split(np.concatenate(records)[gather], 4, axis=1)
-    d_a, d_c = _packed_bptt(h_prev, reset, update, cand, counts, dh_last, p)
-    xs = matrix[tokens]
-    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, len(gather), _BLOCK_ROWS)]
-    for rows in blocks:
-        gp.w_gates += d_a[rows].T @ xs[rows]
-        gp.u_gates += d_a[rows].T @ h_prev[rows]
-        gp.w_cand += d_c[rows].T @ xs[rows]
-        gp.u_cand += d_c[rows].T @ (reset[rows] * h_prev[rows])
-    gp.b_gates += d_a.sum(axis=0)
-    gp.b_cand += d_c.sum(axis=0)
-    if emb_grad is not None:
-        dx = np.concatenate([d_a[rows] @ p.w_gates + d_c[rows] @ p.w_cand for rows in blocks])
-        # np.add.at so repeated token ids accumulate instead of overwrite
-        np.add.at(emb_grad, tokens, dx)
+    for records, consumed, dh_last, p, gp in (
+        ([c.fwd for c in caches], ids, dvecs[:, :hidden], encoder.forward, gencoder.forward),
+        # the backward direction consumed each row reversed
+        ([c.bwd for c in caches], [row[::-1] for row in ids], dvecs[:, hidden:],
+         encoder.backward, gencoder.backward),
+    ):
+        tokens = np.concatenate(consumed)[gather]
+        h_prev, reset, update, cand = np.split(np.concatenate(records)[gather], 4, axis=1)
+        d_a, d_c = _packed_bptt(h_prev, reset, update, cand, counts, dh_last, p)
+        xs = matrix[tokens]
+        for rows in blocks:
+            gp.w_gates += d_a[rows].T @ xs[rows]
+            gp.u_gates += d_a[rows].T @ h_prev[rows]
+            gp.w_cand += d_c[rows].T @ xs[rows]
+            gp.u_cand += d_c[rows].T @ (reset[rows] * h_prev[rows])
+        gp.b_gates += d_a.sum(axis=0)
+        gp.b_cand += d_c.sum(axis=0)
+        if emb_grad is not None:
+            # np.add.at so repeated token ids accumulate instead of overwrite
+            np.add.at(emb_grad, tokens, np.concatenate(
+                [d_a[rows] @ p.w_gates + d_c[rows] @ p.w_cand for rows in blocks]))
+        # free this direction's packed arrays before the next one packs its own
+        del h_prev, reset, update, cand, d_a, d_c, xs
 
 
 def _packed_bptt(h_prev, reset, update, cand, counts: np.ndarray, dh: np.ndarray,

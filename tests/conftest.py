@@ -99,3 +99,15 @@ def splice_checkpoint_header(data: bytes, field: str, raw: str) -> bytes:
     block = data[10:10 + blob_len].decode("utf-8")
     encoded = block.replace(f'"{field}": null', f'"{field}": {raw}').encode("utf-8")
     return data[:6] + struct.pack("<I", len(encoded)) + encoded + data[10 + blob_len:]
+
+
+def shift_first_tensor_word(data: bytes, word: int, delta: int) -> bytes:
+    """Checkpoint bytes with u32 ``word`` of the first tensor's header moved by ``delta``.
+
+    Word 0 is the tensor's rank and word 1 its first dimension.  The
+    byte length stays, so only the per-tensor checks can notice.
+    """
+    (blob_len,) = struct.unpack_from("<I", data, 6)
+    at = 10 + blob_len + 8 + 4 * word  # past magic, version, config block and vocab hash
+    (value,) = struct.unpack_from("<I", data, at)
+    return data[:at] + struct.pack("<I", value + delta) + data[at + 4:]

@@ -11,6 +11,7 @@ from conftest import (
     LONG_JSON_INT,
     random_scorer_params,
     rewrite_checkpoint_header,
+    shift_first_tensor_word,
     splice_checkpoint_header,
 )
 from ruber.errors import CheckpointFormatError, CompatibilityError
@@ -165,6 +166,20 @@ class TestFormatErrors:
         bad.write_bytes(splice_checkpoint_header(data, "hidden", raw))
         with pytest.raises(CheckpointFormatError, match="corrupt config block"):
             load_checkpoint(str(bad))
+
+    @pytest.mark.parametrize("word, delta, message", [
+        (0, 1, "has rank 3, expected 2"),
+        (1, -1, "has shape (7, 4), expected (8, 4)"),
+    ], ids=["rank", "shape"])
+    def test_tensor_header_names_the_tensor(self, tmp_path, word, delta, message):
+        params, config, vocab = _fresh(3, d=4, hidden=4)
+        path = str(tmp_path / "good.ckpt")
+        save_checkpoint(params, config, vocab_content_hash(vocab), path)
+        bad = tmp_path / "tensor.ckpt"
+        bad.write_bytes(shift_first_tensor_word(open(path, "rb").read(), word, delta))
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(str(bad))
+        assert str(err.value) == f"{bad}: tensor query_encoder.forward.w_gates {message}"
 
     def test_non_object_header(self, tmp_path):
         path, data = self._saved(tmp_path)

@@ -14,6 +14,7 @@ from conftest import (
     LONG_JSON_INT,
     rewrite_checkpoint_header,
     separable_corpus,
+    shift_first_tensor_word,
     splice_checkpoint_header,
     write_lines,
 )
@@ -476,6 +477,15 @@ class TestInputsEndInExitCodes:
         ]) == 3
         assert "expected a token and 1000000000000 values" in capsys.readouterr().err
 
+    def test_repeated_embedding_row_is_exit_3(self, pipeline, tmp_path, capsys):
+        emb = write_lines(tmp_path / "dup.txt", ["3 2", "a 1 2", "a 3 4", "b 1 1"])
+        out = tmp_path / "x.ckpt"
+        assert main(["train-scorer", "--corpus", pipeline["corpus"], "--embeddings", emb,
+                     "--out", str(out), "--epochs", "0"]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {emb}:3: token 'a' repeats line 2"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.txt"]
+
     @pytest.mark.parametrize("which", ["corpus", "embeddings", "config", "scores"])
     def test_non_utf8_input_is_exit_3(self, pipeline, tmp_path, capsys, which):
         bad = tmp_path / "latin1.txt"
@@ -577,6 +587,14 @@ class TestInputsEndInExitCodes:
         assert f"error: {name} must be" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == []
 
+    def test_non_finite_skip_gram_vectors_are_exit_4(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        assert main(["train-embeddings", "--corpus", pipeline["corpus"], "--out", str(out),
+                     "--dim", "4", "--epochs", "1", "--min-count", "1", "--lr", "1e308"]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: skip-gram training produced non-finite vectors"
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_window_past_int64_is_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.tsv")  # reading it would be exit 3
         assert main(["train-embeddings", "--corpus", missing, "--out", str(tmp_path / "v.txt"),
@@ -601,6 +619,23 @@ class TestInputsEndInExitCodes:
                      pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
         [line] = capsys.readouterr().err.splitlines()
         assert line == f"error: {data}:1: key 'scores' must hold at least one score"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        ("[1, 2]", "expected a JSON object"),
+        ('{"query": "topic1", "groundtruth": "topic1", "candidate": "flr3", "scores": [1.5]}',
+         "score 1.5 is not an integer"),
+        ('{"query": "topic1", "groundtruth": "topic1", "candidate": "flr3", "scores": ["1"]}',
+         "score '1' is not an integer"),
+    ], ids=["array-row", "float-score", "string-score"])
+    def test_jsonl_annotated_row_of_wrong_type_is_exit_3(self, pipeline, tmp_path, capsys,
+                                                          row, message):
+        data = write_lines(tmp_path / "ann.jsonl", [row])
+        out = tmp_path / "scores.tsv"
+        assert main(["score", "--data", data, "--format", "jsonl", "--embeddings",
+                     pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {data}:1: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [
@@ -641,6 +676,18 @@ class TestInputsEndInExitCodes:
         assert line == f"error: {bad}: corrupt config block"
         assert not out.exists()
 
+    @pytest.mark.parametrize("word, delta", [(0, 1), (1, -1)], ids=["rank", "shape"])
+    def test_tensor_header_mismatch_is_exit_3(self, pipeline, tmp_path, capsys, word, delta):
+        bad = tmp_path / "tensor.ckpt"
+        with open(pipeline["ckpt"], "rb") as fh:
+            bad.write_bytes(shift_first_tensor_word(fh.read(), word, delta))
+        out = tmp_path / "x.tsv"
+        assert main(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                     "--checkpoint", str(bad), "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {bad}: tensor query_encoder.forward.w_gates has ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
     def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, capsys, cell):
         lines = open(pipeline["scores"]).read().splitlines()
@@ -650,6 +697,17 @@ class TestInputsEndInExitCodes:
         assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json")]) == 3
         err = capsys.readouterr().err
         assert f"{table}:{first + 1}:" in err and "{0, 1, 2}" in err
+
+    def test_malformed_normalization_comment_is_exit_3(self, pipeline, tmp_path, capsys):
+        lines = open(pipeline["scores"]).read().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("# normalization:"))
+        lines[at] = "# normalization: ref_score min=0"
+        table = write_lines(tmp_path / "scores.tsv", lines)
+        out = tmp_path / "r.json"
+        assert main(["report", "--scores", table, "--out", str(out)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {table}:{at + 1}: malformed normalization comment")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
     def test_literal_unk_token_in_corpus(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "unk.tsv", ["a <unk> b\tb a", "<unk> a\tb"] * 4)

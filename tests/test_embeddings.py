@@ -51,6 +51,16 @@ class TestLoadTextEmbeddings:
         with pytest.raises(ParseError):
             load_text_embeddings(path)
 
+    @pytest.mark.parametrize("token", ["a", UNK_TOKEN])
+    def test_repeated_token_names_its_own_line(self, tmp_path, token):
+        path = write_lines(tmp_path / "dup.txt", [
+            "3 2", f"{token} 1 2", f"{token} 3 4", "b 1 1",
+        ])
+        with pytest.raises(ParseError) as err:
+            load_text_embeddings(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}:3: token {token!r} repeats line 2"
+
     def test_row_arity_mismatch(self, tmp_path):
         path = write_lines(tmp_path / "emb.txt", ["1 3", "a 1 0"])
         with pytest.raises(ParseError) as err:

@@ -63,6 +63,13 @@ class TestBuildReport:
         assert report.rows["ref_score"].pearson_r == pytest.approx(1.0, abs=1e-12)
         assert report.rows["ref_score"].spearman_rho == pytest.approx(1.0, abs=1e-12)
 
+    def test_non_standard_column_follows_the_standard_rows(self, tmp_path):
+        table = _table(tmp_path, seed=125)
+        table.metrics = {"extra": table.human_mean.copy(), **table.metrics}
+        report = build_report(table)
+        assert list(report.rows) == list(REPORT_ROWS) + ["extra"]
+        assert report.rows["extra"].spearman_rho == pytest.approx(1.0, abs=1e-12)
+
     def test_all_nan_metric_is_undefined_with_zero_count(self, tmp_path):
         table = _table(tmp_path, seed=123)
         table.metrics["bleu_4"][:] = np.nan

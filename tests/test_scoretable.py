@@ -152,6 +152,46 @@ class TestScoreTableIO:
             read_score_table(str(path))
         assert err.value.line == 5
 
+    def _written(self, tmp_path):
+        """The lines of a table as ``score`` writes it, and the header's index."""
+        dataset, vocab, matrix, params = _setup(tmp_path)
+        path = tmp_path / "t.tsv"
+        write_score_table(compute_score_table(dataset, vocab, matrix, params), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        return lines, next(i for i, line in enumerate(lines) if not line.startswith("#"))
+
+    def test_header_errors_name_the_header_line(self, tmp_path):
+        lines, at = self._written(tmp_path)
+        assert at + 1 == 6  # after five comment lines
+        no_rows = write_lines(tmp_path / "no_rows.tsv", lines[:at + 1])
+        with pytest.raises(ParseError) as err:
+            read_score_table(no_rows)
+        assert str(err.value) == f"{no_rows}:6: no table content found"
+        renamed = lines[at].replace("human_mean", "mean")
+        no_mean = write_lines(tmp_path / "no_mean.tsv", lines[:at] + [renamed] + lines[at + 1:])
+        with pytest.raises(ParseError) as err:
+            read_score_table(no_mean)
+        assert str(err.value) == f"{no_mean}:6: missing annotator columns or human_mean"
+
+    def test_comments_only_points_at_line_one(self, tmp_path):
+        lines, at = self._written(tmp_path)
+        path = write_lines(tmp_path / "comments.tsv", lines[:at])
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert str(err.value) == f"{path}:1: no table content found"
+
+    @pytest.mark.parametrize("comment, message", [
+        ("# normalization: ref_score min=low max=1", "could not convert string to float"),
+        ("# normalization: ref_score 0 1", "malformed normalization comment"),
+    ], ids=["not-a-float", "malformed"])
+    def test_bad_normalization_comment_names_its_line(self, tmp_path, comment, message):
+        lines, _ = self._written(tmp_path)
+        path = write_lines(tmp_path / "bad.tsv", lines[:3] + [comment] + lines[4:])
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert err.value.line == 4
+        assert str(err.value).startswith(f"{path}:4: {message}")
+
     def test_missing_header_rejected(self, tmp_path):
         path = write_lines(tmp_path / "bad.tsv", ["1\t2\t3"])
         with pytest.raises(ParseError):
