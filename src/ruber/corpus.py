@@ -132,6 +132,7 @@ def _load(path, format: str, pair_type) -> Dataset:
     skipped = 0
     scores: list[int] = []  # stays empty for query-reply pairs
     n_annotators: int | None = None
+    canon = {}.setdefault  # canon(tok, tok): one str per distinct token, shared by its occurrences
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -150,7 +151,7 @@ def _load(path, format: str, pair_type) -> Dataset:
                     if not items:  # the tsv layout's field count demands a score too
                         raise ParseError(path, lineno, "key 'scores' must hold at least one score")
                     scores = [_json_score(item, path, lineno) for item in items]
-            utterances = [tokenize(text) for text in texts]
+            utterances = [list(map(canon, toks, toks)) for toks in map(tokenize, texts)]
             if n_annotators is None:
                 n_annotators = len(scores)
             elif len(scores) != n_annotators:

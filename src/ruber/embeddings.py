@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -28,16 +29,22 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
     The matrix is float64 with ``len(vocab)`` rows; row 0 belongs to the
     unknown token (taken from the file when present, synthesized as the
     mean row otherwise).  Malformed content raises :class:`ParseError`
-    with the line number.
+    with the line number.  The file is read twice, line by line: once to
+    count its rows and once to parse them, so only the matrix is held
+    whole.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; any other whitespace,
+    such as a form feed, separates fields.
     """
+    header, last = "", 0  # the first line, and the number of the last non-blank one
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                header = line
+            if line.strip():
+                last = lineno
+    if not last:
         raise ParseError(path, 1, "empty embedding file")
 
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2:
         raise ParseError(path, 1, "header must be '<vocab_size> <dim>'")
     try:
@@ -46,42 +53,43 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
         raise ParseError(path, 1, "header must hold two integers") from exc
     if declared < 1 or dim < 1:
         raise ParseError(path, 1, f"header values must be positive, got {declared} {dim}")
-    if len(lines) - 1 != declared:
-        raise ParseError(
-            path, len(lines),
-            f"header declares {declared} rows but file has {len(lines) - 1}",
-        )
+    if last - 1 != declared:
+        raise ParseError(path, last, f"header declares {declared} rows but file has {last - 1}")
 
     # grow with the rows read, never to (declared, dim): the header may lie
     seen: dict[str, None] = {}  # the tokens in row order; row i is on line i + 2
     values = array("d")
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise ParseError(
-                path, lineno,
-                f"expected a token and {dim} values, found {len(parts)} field(s)",
-            )
-        token = parts[0]
-        if token in seen:
-            first = list(seen).index(token) + 2
-            raise ParseError(path, lineno, f"token {token!r} repeats line {first}")
-        seen[token] = None
-        try:
-            row = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ParseError(path, lineno, "vector component is not a number") from exc
-        if not all(map(math.isfinite, row)):
-            raise ParseError(path, lineno, "vector contains a non-finite component")
-        values.extend(row)
-    rows = np.frombuffer(values).reshape(declared, dim)
-
+    with open(path, encoding="utf-8") as fh:
+        next(fh)
+        for lineno, line in enumerate(islice(fh, declared), start=2):
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise ParseError(
+                    path, lineno,
+                    f"expected a token and {dim} values, found {len(parts)} field(s)",
+                )
+            if lineno == 2:  # dim is a real row width now: reserve row 0 for <unk>
+                values = array("d", [0.0]) * dim
+            token = parts[0]
+            if token in seen:
+                first = list(seen).index(token) + 2
+                raise ParseError(path, lineno, f"token {token!r} repeats line {first}")
+            seen[token] = None
+            try:
+                row = [float(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise ParseError(path, lineno, "vector component is not a number") from exc
+            if not all(map(math.isfinite, row)):
+                raise ParseError(path, lineno, "vector contains a non-finite component")
+            if token == UNK_TOKEN:
+                values[:dim] = array("d", row)
+            else:
+                values.extend(row)
+    matrix = np.frombuffer(values).reshape(-1, dim)
     if UNK_TOKEN in seen:
-        at = list(seen).index(UNK_TOKEN)
         del seen[UNK_TOKEN]
-        matrix = np.vstack([rows[at:at + 1], rows[:at], rows[at + 1:]])
     else:
-        matrix = np.vstack([rows.mean(axis=0, keepdims=True), rows])
+        matrix[0] = matrix[1:].mean(axis=0)
     return Vocabulary(seen), matrix
 
 

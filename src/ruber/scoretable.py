@@ -10,6 +10,7 @@ cells are rendered at 1e-6 precision; undefined values render as "nan".
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,12 +142,20 @@ def write_score_table(table: ScoreTable, path) -> None:
 
 
 def read_score_table(path) -> ScoreTable:
-    """Parse a file written by :func:`write_score_table`."""
+    """Parse a file written by :func:`write_score_table`.
+
+    The header must list ``human_1`` .. ``human_k``, ``human_mean`` and
+    then distinct metric names, in that order.  Each row is parsed into
+    numbers as it is read, and the first fault in file order raises
+    :class:`ParseError` at its line.
+    """
     normalization: dict[str, tuple[float, float]] = {}
     source = ""
     header: list[str] | None = None
     header_line = 1  # stays 1 when the file has no header
-    rows: list[tuple[int, list[str]]] = []
+    k = 0
+    human = array("q")
+    columns: list[array] = []  # one per metric
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -163,6 +172,8 @@ def read_score_table(path) -> ScoreTable:
                 continue
             if header is None:
                 header, header_line = line.split("\t"), lineno
+                k = _annotator_count(header, path, lineno)
+                columns = [array("d") for _ in header[k + 1:]]
                 continue
             cells = line.split("\t")
             if len(cells) != len(header):
@@ -170,30 +181,42 @@ def read_score_table(path) -> ScoreTable:
                     path, lineno,
                     f"expected {len(header)} columns, found {len(cells)}",
                 )
-            rows.append((lineno, cells))
-    if header is None or not rows:
+            try:
+                scores = [int(cell) for cell in cells[:k]]
+                for column, cell in zip(columns, cells[k + 1:]):
+                    column.append(float(cell))
+            except ValueError as exc:
+                raise ParseError(path, lineno, f"non-numeric cell: {exc}") from exc
+            bad = [v for v in scores if v not in VALID_SCORES]
+            if bad:
+                raise ParseError(path, lineno, f"human score {bad[0]} is not in {{0, 1, 2}}")
+            human.extend(scores)
+    if header is None or not human:
         raise ParseError(path, header_line, "no table content found")
+    metrics = {name: np.frombuffer(column) for name, column in zip(header[k + 1:], columns)}
+    return ScoreTable(np.frombuffer(human, dtype=np.int64).reshape(-1, k),
+                      metrics, normalization, source)
 
-    k = sum(1 for name in header if name.startswith("human_") and name != "human_mean")
-    if k < 1 or "human_mean" not in header:
-        raise ParseError(path, header_line, "missing annotator columns or human_mean")
-    metric_names = header[k + 1:]
-    human_rows = []
-    metric_rows = []
-    for lineno, cells in rows:
-        try:
-            human_rows.append([int(cells[j]) for j in range(k)])
-            metric_rows.append([float(cells[k + 1 + j])
-                                for j in range(len(metric_names))])
-        except ValueError as exc:
-            raise ParseError(path, lineno, f"non-numeric cell: {exc}") from exc
-        bad = [v for v in human_rows[-1] if v not in VALID_SCORES]
-        if bad:
-            raise ParseError(path, lineno, f"human score {bad[0]} is not in {{0, 1, 2}}")
-    human = np.array(human_rows, dtype=int)
-    columns = np.array(metric_rows)
-    metrics = {name: columns[:, j].copy() for j, name in enumerate(metric_names)}
-    return ScoreTable(human, metrics, normalization, source)
+
+def _annotator_count(header: list[str], path, lineno: int) -> int:
+    """k of a header ``human_1 .. human_k, human_mean, <metrics>``; any other raises."""
+    if "human_mean" not in header or not any(
+            name.startswith("human_") and name != "human_mean" for name in header):
+        raise ParseError(path, lineno, "missing annotator columns or human_mean")
+    k = 0
+    while header[k] == f"human_{k + 1}":
+        k += 1
+    col = k + 1  # 1-based column of the first name out of place
+    if k and header[k] == "human_mean":
+        seen: set[str] = set()
+        for col, name in enumerate(header[k + 1:], start=k + 2):
+            if not name or name.startswith("human_") or name in seen:
+                break
+            seen.add(name)
+        else:
+            return k
+    raise ParseError(path, lineno, "header must be human_1 .. human_k, human_mean, then "
+                     f"distinct metric names; column {col} is {header[col - 1]!r}")
 
 
 def _parse_normalization(comment: str) -> tuple[str, float, float]:

@@ -99,7 +99,15 @@ def adam_step(
         m += (1.0 - config.beta1) * grad
         v *= config.beta2
         v += (1.0 - config.beta2) * grad * grad
-        arr -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
+        # lr * (m / c1) / (sqrt(v / c2) + eps) in two temporaries; out= keeps
+        # the quotient of a 0-d tensor an array, which np.sqrt can write to
+        denom = np.divide(v, c2, out=np.empty_like(v))
+        np.sqrt(denom, out=denom)
+        denom += config.eps
+        step = m / c1
+        step *= config.lr
+        step /= denom
+        arr -= step
 
 
 def train(
@@ -160,6 +168,7 @@ def train(
                 loss_sum += mean_loss * len(chunk)
                 adam_step(params, grads, state, config,
                           matrix if config.fine_tune_embeddings else None)
+                del grads  # not alive while the next batch computes its own
             # a diverged model would otherwise score its holdout and be saved;
             # the scorer is saved as float32, so check the values it will store
             stored = [(f"{name} (as float32)", quantize(arr)) for name, arr in params.tensors()]

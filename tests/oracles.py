@@ -526,3 +526,136 @@ def loop_compute_gradients(batch, params, vocab, matrix, config):
     if emb_grad is not None:
         emb_grad *= scale
     return grads, emb_grad, total * scale
+
+
+# ---------------------------------------------------------------------------
+# frozen whole-input readers
+
+
+def whole_text_load_embeddings(path):
+    """The embedding reader that split the whole file text into lines first.
+
+    ``str.splitlines`` also breaks lines at form feeds, ``\\x85``,
+    ``\\u2028`` and the other Unicode line separators.
+    """
+    from array import array
+
+    from ruber.errors import ParseError
+    from ruber.vocabulary import UNK_TOKEN, Vocabulary
+
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise ParseError(path, 1, "empty embedding file")
+
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ParseError(path, 1, "header must be '<vocab_size> <dim>'")
+    try:
+        declared, dim = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ParseError(path, 1, "header must hold two integers") from exc
+    if declared < 1 or dim < 1:
+        raise ParseError(path, 1, f"header values must be positive, got {declared} {dim}")
+    if len(lines) - 1 != declared:
+        raise ParseError(
+            path, len(lines),
+            f"header declares {declared} rows but file has {len(lines) - 1}",
+        )
+
+    seen: dict[str, None] = {}
+    values = array("d")
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise ParseError(
+                path, lineno,
+                f"expected a token and {dim} values, found {len(parts)} field(s)",
+            )
+        token = parts[0]
+        if token in seen:
+            first = list(seen).index(token) + 2
+            raise ParseError(path, lineno, f"token {token!r} repeats line {first}")
+        seen[token] = None
+        try:
+            row = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise ParseError(path, lineno, "vector component is not a number") from exc
+        if not all(map(math.isfinite, row)):
+            raise ParseError(path, lineno, "vector contains a non-finite component")
+        values.extend(row)
+    rows = np.frombuffer(values).reshape(declared, dim)
+
+    if UNK_TOKEN in seen:
+        at = list(seen).index(UNK_TOKEN)
+        del seen[UNK_TOKEN]
+        matrix = np.vstack([rows[at:at + 1], rows[:at], rows[at + 1:]])
+    else:
+        matrix = np.vstack([rows.mean(axis=0, keepdims=True), rows])
+    return Vocabulary(seen), matrix
+
+
+def string_cells_read_score_table(path):
+    """The score-table reader that kept every cell as a string until the end.
+
+    It took every column after the first k + 1 as a metric, whatever the
+    header's order.
+    """
+    from ruber.corpus import VALID_SCORES
+    from ruber.errors import ParseError
+    from ruber.scoretable import ScoreTable, _parse_normalization
+
+    normalization = {}
+    source = ""
+    header = None
+    header_line = 1
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                comment = line[1:].strip()
+                if comment.startswith("source:"):
+                    source = comment[len("source:"):].strip()
+                elif comment.startswith("normalization:"):
+                    try:
+                        name, lo, hi = _parse_normalization(comment)
+                    except ValueError as exc:
+                        raise ParseError(path, lineno, str(exc)) from exc
+                    normalization[name] = (lo, hi)
+                continue
+            if header is None:
+                header, header_line = line.split("\t"), lineno
+                continue
+            cells = line.split("\t")
+            if len(cells) != len(header):
+                raise ParseError(
+                    path, lineno,
+                    f"expected {len(header)} columns, found {len(cells)}",
+                )
+            rows.append((lineno, cells))
+    if header is None or not rows:
+        raise ParseError(path, header_line, "no table content found")
+
+    k = sum(1 for name in header if name.startswith("human_") and name != "human_mean")
+    if k < 1 or "human_mean" not in header:
+        raise ParseError(path, header_line, "missing annotator columns or human_mean")
+    metric_names = header[k + 1:]
+    human_rows = []
+    metric_rows = []
+    for lineno, cells in rows:
+        try:
+            human_rows.append([int(cells[j]) for j in range(k)])
+            metric_rows.append([float(cells[k + 1 + j])
+                                for j in range(len(metric_names))])
+        except ValueError as exc:
+            raise ParseError(path, lineno, f"non-numeric cell: {exc}") from exc
+        bad = [v for v in human_rows[-1] if v not in VALID_SCORES]
+        if bad:
+            raise ParseError(path, lineno, f"human score {bad[0]} is not in {{0, 1, 2}}")
+    human = np.array(human_rows, dtype=int)
+    columns = np.array(metric_rows)
+    metrics = {name: columns[:, j].copy() for j, name in enumerate(metric_names)}
+    return ScoreTable(human, metrics, normalization, source)

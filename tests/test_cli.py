@@ -709,6 +709,24 @@ class TestInputsEndInExitCodes:
         assert line.startswith(f"error: {table}:{at + 1}: malformed normalization comment")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
+    def test_misordered_header_is_exit_3(self, pipeline, tmp_path, capsys):
+        """A column between the annotators and human_mean used to be dropped silently."""
+        lines = open(pipeline["scores"]).read().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        names = lines[at].split("\t")
+        k = names.index("human_mean")
+        names[k - 1], names[k] = names[k], names[k - 1]  # human_mean before the last annotator
+        lines[at] = "\t".join(names)
+        table = write_lines(tmp_path / "scores.tsv", lines)
+        out = tmp_path / "r.json"
+        assert main(["report", "--scores", table, "--out", str(out),
+                     "--quantile-csv", str(tmp_path / "q.csv"),
+                     "--scatter-dir", str(tmp_path / "scatter")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: {table}:{at + 1}: header must be human_1 .. human_k, "
+                        f"human_mean, then distinct metric names; column {k + 1} is 'human_{k}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
+
     def test_literal_unk_token_in_corpus(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "unk.tsv", ["a <unk> b\tb a", "<unk> a\tb"] * 4)
         out = str(tmp_path / "emb.txt")

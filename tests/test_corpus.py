@@ -116,6 +116,12 @@ class TestLoadPairsTsv:
         second = load_pairs(path)
         assert list(first) == list(second)
 
+    def test_one_string_per_distinct_token(self, tmp_path):
+        path = write_lines(tmp_path / "pairs.tsv", ["hello there\tthere hello", "hello\tthere"])
+        ds = load_pairs(path)
+        assert ds[0].query[0] is ds[0].reply[1] is ds[1].query[0]
+        assert ds[0].query[1] is ds[0].reply[0] is ds[1].reply[0]
+
 
 class TestLoadPairsJsonl:
     def test_well_formed(self, tmp_path):
@@ -235,6 +241,27 @@ class TestLoadAnnotated:
         ds = load_annotated(path)
         assert len(ds) == 1
         assert ds.skipped == 1
+
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_one_string_per_distinct_token(self, tmp_path, fmt):
+        """Each occurrence of a token, in any row or field, is the same str."""
+        rows = [("the cat", "the dog", "cat cat", [1]), ("dog the", "cat", "the xx", [2])]
+        if fmt == "tsv":
+            lines = ["\t".join([q, g, c, *map(str, s)]) for q, g, c, s in rows]
+        else:
+            lines = [json.dumps({"query": q, "groundtruth": g, "candidate": c, "scores": s})
+                     for q, g, c, s in rows]
+        path = write_lines(tmp_path / f"ann.{fmt}", lines)
+        ds = load_annotated(path, format=fmt)
+        assert ds[1] == AnnotatedPair(["dog", "the"], ["cat"], ["the", "xx"], [2])
+        tokens = [tok for pair in ds for utt in utterances_of(pair) for tok in utt]
+        first = {}
+        for tok in tokens:
+            assert first.setdefault(tok, tok) is tok
+        assert len(first) == 4
+        # the sharing belongs to one load: nothing outlives it
+        again = load_annotated(path, format=fmt)
+        assert again[0].query[0] == ds[0].query[0] and again[0].query[0] is not ds[0].query[0]
 
 
 _JSONL_ROWS = {

@@ -1,5 +1,7 @@
 """Embedding file I/O and skip-gram training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -93,6 +95,116 @@ class TestLoadTextEmbeddings:
         path.write_text("")
         with pytest.raises(ParseError):
             load_text_embeddings(str(path))
+
+
+def _random_rows(unk_at):
+    """Rows at full float precision, with a literal <unk> row at ``unk_at`` (None: none)."""
+    rng = np.random.default_rng([23, 40 if unk_at is None else unk_at])
+    tokens = [f"w{i}" for i in range(40)]
+    if unk_at is not None:
+        tokens[unk_at] = UNK_TOKEN
+    rows = [tok + " " + " ".join(repr(float(x)) for x in rng.normal(0, 3, 7))
+            for tok in tokens]
+    return "40 7\n" + "\n".join(rows) + "\n"
+
+
+# Files the whole-text reader parsed; the streaming reader must return the
+# same vocabulary and matrix bytes.
+SAME_AS_WHOLE_TEXT = {
+    "unk-first": "3 2\n<unk> 9 9\na 1 0\nb 0 1\n",
+    "unk-middle": "3 2\na 1 0\n<unk> 9 9\nb 0 1\n",
+    "unk-last": "3 2\na 1 0\nb 0 1\n<unk> 9 9\n",
+    "unk-absent": "2 3\na 1 0 0.5\nb 0.25 1 -3e-7\n",
+    "unk-only": "1 2\n<unk> 1 2\n",
+    "random-unk-first": _random_rows(0),
+    "random-unk-middle": _random_rows(17),
+    "random-unk-absent": _random_rows(None),
+    "trailing-blank-lines": "2 2\na 1 2\nb 3 4\n\n  \n\t\n",
+    "no-final-newline": "2 2\na 1 2\nb 3 4",
+    "crlf": "2 2\r\na 1 2\r\nb 3 4\r\n\r\n",
+    "cr": "2 2\ra 1 2\rb 3 4\r",
+    "tab-inside-rows": "2 2\na\t1 2\nb 3\t\t4 \n",
+    "form-feed-after-last-row": "2 2\na 1 2\nb 3 4\x0c\n",
+}
+
+# Files both readers refuse with the same message at the same line.
+REFUSED_AS_BY_WHOLE_TEXT = {
+    "empty": "",
+    "blank-only": "\n \n\r\n",
+    "bad-header": "banana\na 1\n",
+    "blank-header": "\n1 2\na 1 2\n",
+    "non-integer-header": "1 x\na 1\n",
+    "zero-rows": "0 2\n",
+    "too-few-rows": "3 2\na 1 2\nb 1 2\n",
+    "too-many-rows": "1 2\na 1 2\nb 1 2\n",
+    "count-before-row-errors": "3 2\na one 2\nb 1 2\n",
+    "blank-row-counted": "3 2\na 1 2\n\nb 3 4\n",
+    "arity": "1 3\na 1 0\n",
+    "oversized-dim": "1 1000000000000\na 0.5\n",
+    "non-numeric": "2 2\na 1 2\nb one 2\n",
+    "non-finite": "2 2\na nan 2\nb 1 2\n",
+    "repeated-token": "3 2\na 1 2\nb 1 1\na 3 4\n",
+    "repeated-unk": "2 2\n<unk> 1 1\n<unk> 2 2\n",
+    "crlf-row-error": "2 2\r\na 1 2\r\nb 1\r\n",
+}
+
+# Whitespace that str.splitlines() treats as a line break and file
+# iteration does not: inside a row it now separates fields.
+SPLITLINES_ONLY_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _emb_file(tmp_path, text):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))  # newlines exactly as given
+    return str(path)
+
+
+class TestAgainstWholeTextReader:
+    @pytest.mark.parametrize("name", SAME_AS_WHOLE_TEXT)
+    def test_same_vocab_and_matrix(self, tmp_path, name):
+        path = _emb_file(tmp_path, SAME_AS_WHOLE_TEXT[name])
+        vocab, matrix = load_text_embeddings(path)
+        ref_vocab, ref_matrix = oracles.whole_text_load_embeddings(path)
+        assert vocab == ref_vocab
+        assert matrix.shape == ref_matrix.shape
+        assert matrix.tobytes() == ref_matrix.tobytes()
+
+    @pytest.mark.parametrize("name", REFUSED_AS_BY_WHOLE_TEXT)
+    def test_same_error(self, tmp_path, name):
+        path = _emb_file(tmp_path, REFUSED_AS_BY_WHOLE_TEXT[name])
+        with pytest.raises(ParseError) as ref:
+            oracles.whole_text_load_embeddings(path)
+        with pytest.raises(ParseError) as err:
+            load_text_embeddings(path)
+        assert str(err.value) == str(ref.value)
+
+    @pytest.mark.parametrize("sep", SPLITLINES_ONLY_BREAKS)
+    def test_unicode_line_separator_inside_a_row_separates_fields(self, tmp_path, sep):
+        path = _emb_file(tmp_path, f"2 2\na 1{sep}2\nb{sep}3 4\n")
+        vocab, matrix = load_text_embeddings(path)
+        assert vocab.tokens == [UNK_TOKEN, "a", "b"]
+        assert matrix.tolist() == [[2.0, 3.0], [1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ParseError) as err:  # it read five lines
+            oracles.whole_text_load_embeddings(path)
+        assert str(err.value) == f"{path}:5: header declares 2 rows but file has 4"
+
+    def test_peak_memory_is_about_the_matrix(self, tmp_path):
+        """No copy of the file text, its lines or the matrix is held while loading.
+
+        At 100 dimensions the vocabulary's strings and dicts add about 0.2
+        of the matrix; the whole-text reader peaked at 3.5 times it.
+        """
+        rng = np.random.default_rng(5)
+        vocab = Vocabulary([f"w{i}" for i in range(1000)])
+        path = str(tmp_path / "emb.txt")
+        save_text_embeddings(vocab, rng.normal(0, 1, (len(vocab), 100)), path)
+        tracemalloc.start()
+        try:
+            _, matrix = load_text_embeddings(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * matrix.nbytes + 64 * 1024
 
 
 class TestSaveTextEmbeddings:

@@ -1,11 +1,13 @@
 """Per-pair score tables: computation and round-trip serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import oracles
 from conftest import random_scorer_params, write_lines
 from ruber.baselines import bleu, rouge_l
 from ruber.blending import BlendStrategy, blend_series, normalize
@@ -14,6 +16,7 @@ from ruber.errors import ParseError
 from ruber.referenced import referenced_score
 from ruber.scoretable import (
     METRIC_COLUMNS,
+    ScoreTable,
     compute_score_table,
     read_score_table,
     write_score_table,
@@ -207,3 +210,121 @@ class TestScoreTableIO:
         ])
         with pytest.raises(ParseError):
             read_score_table(str(path))
+
+
+_COMMENTS = ["# score table", "# source: x", "# annotators: 2"]  # the header is line 4
+_ORDER_RULE = "header must be human_1 .. human_k, human_mean, then distinct metric names"
+
+
+def _big_table(n_rows=2000, seed=7):
+    rng = np.random.default_rng(seed)
+    metrics = {name: rng.normal(0, 1, n_rows) for name in METRIC_COLUMNS}
+    metrics["bleu_4"][::5] = np.nan
+    return ScoreTable(rng.integers(0, 3, (n_rows, 3)), metrics,
+                      {"ref_score": (-1.5, 2.25), "unref_score": (0.0, 1.0)}, "big.tsv")
+
+
+def _assert_same_table(table, ref):
+    assert table.human_scores.shape == ref.human_scores.shape
+    assert np.array_equal(table.human_scores, ref.human_scores)
+    assert list(table.metrics) == list(ref.metrics)
+    for name, column in ref.metrics.items():
+        assert table.metrics[name].tobytes() == column.tobytes(), name
+    assert table.normalization == ref.normalization
+    assert table.source == ref.source
+
+
+class TestAgainstStringCellsReader:
+    def _tables(self, tmp_path):
+        dataset, vocab, matrix, params = _setup(tmp_path, n_rows=12)
+        full = compute_score_table(dataset, vocab, matrix, params)
+        subset = compute_score_table(dataset, vocab, matrix, params,
+                                     blends=[BlendStrategy.MAX])
+        subset.metrics = {name: subset.metrics[name] for name in ("bleu_1", "ref_score")}
+        no_metrics = ScoreTable(np.array([[0], [2]]), {}, {}, "")
+        return {"full": full, "subset": subset, "no-metrics": no_metrics, "big": _big_table()}
+
+    def test_same_table(self, tmp_path):
+        for name, table in self._tables(tmp_path).items():
+            path = tmp_path / f"{name}.tsv"
+            write_score_table(table, str(path))
+            crlf = tmp_path / f"{name}-crlf.tsv"
+            crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+            for each in (path, crlf):
+                _assert_same_table(read_score_table(str(each)),
+                                   oracles.string_cells_read_score_table(str(each)))
+
+    def test_peak_memory_far_below_the_string_cells_reader(self, tmp_path):
+        path = str(tmp_path / "big.tsv")
+        write_score_table(_big_table(), path)
+        peaks = []
+        for reader in (oracles.string_cells_read_score_table, read_score_table):
+            tracemalloc.start()
+            try:
+                reader(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        old, new = peaks
+        assert new < old / 4  # measured about 1/13
+
+
+class TestHeaderOrder:
+    @pytest.mark.parametrize("header, message", [
+        ("human_1 foo human_mean ref_score", f"{_ORDER_RULE}; column 2 is 'foo'"),
+        ("human_2 human_1 human_mean ref_score", f"{_ORDER_RULE}; column 1 is 'human_2'"),
+        ("human_1 human_3 human_mean ref_score", f"{_ORDER_RULE}; column 2 is 'human_3'"),
+        ("mean human_1 human_mean ref_score", f"{_ORDER_RULE}; column 1 is 'mean'"),
+        ("human_1 human_mean human_2 ref_score", f"{_ORDER_RULE}; column 3 is 'human_2'"),
+        ("human_1 human_mean ref_score human_mean", f"{_ORDER_RULE}; column 4 is 'human_mean'"),
+        ("human_1 human_mean ref_score ref_score", f"{_ORDER_RULE}; column 4 is 'ref_score'"),
+        ("human_1 human_mean  ref_score", f"{_ORDER_RULE}; column 3 is ''"),
+        ("human_1 human_2 ref_score unref_score", "missing annotator columns or human_mean"),
+        ("human_mean ref_score x y", "missing annotator columns or human_mean"),
+    ], ids=["column-between", "annotators-swapped", "annotator-skipped", "name-first",
+            "annotator-after-mean", "second-mean", "repeated-metric", "empty-name",
+            "no-mean", "no-annotators"])
+    def test_refused_at_the_header_line(self, tmp_path, header, message):
+        names = header.split(" ")
+        path = write_lines(tmp_path / "bad.tsv",
+                           _COMMENTS + ["\t".join(names), "\t".join(["1"] * len(names))])
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert str(err.value) == f"{path}:4: {message}"
+
+    def test_the_string_cells_reader_took_a_misplaced_column_for_a_metric(self, tmp_path):
+        path = write_lines(tmp_path / "bad.tsv", _COMMENTS + [
+            "human_1\tfoo\thuman_mean\tref_score", "1\t0.5\t1.0\t0.25"])
+        table = oracles.string_cells_read_score_table(path)
+        assert list(table.metrics) == ["human_mean", "ref_score"]
+
+
+class TestFirstFaultInFileOrder:
+    """Rows are parsed as they are read, so the first faulty line is the one named.
+
+    The string-cells reader checked every row's width first, then the
+    header, then the cells; each case here names a later line there.
+    """
+
+    GOOD = "human_1\thuman_2\thuman_mean\tref_score"
+    BAD = "human_1\tfoo\thuman_mean\tref_score"
+
+    @pytest.mark.parametrize("lines, line, message, old_line", [
+        ([BAD, "1\t1\t1.0\t0.5", "1\t1"], 4, _ORDER_RULE, 6),
+        ([BAD], 4, _ORDER_RULE, 4),  # the string-cells reader: no table content found
+        ([BAD, "# normalization: ref_score 0 1", "1\t1\t1.0\t0.5"], 4, _ORDER_RULE, 5),
+        ([GOOD, "1\tx\t1.0\t0.5", "1\t1"], 5, "non-numeric cell", 6),
+        ([GOOD, "1\t1\t1.0\tx", "1\t1"], 5, "non-numeric cell", 6),
+        ([GOOD, "1\t7\t1.0\t0.5", "1\t1"], 5, "human score 7 is not in", 6),
+    ], ids=["header-then-ragged-row", "header-without-rows", "header-then-bad-comment",
+            "human-cell-then-ragged-row", "metric-cell-then-ragged-row",
+            "score-then-ragged-row"])
+    def test_first_fault_is_named(self, tmp_path, lines, line, message, old_line):
+        path = write_lines(tmp_path / "bad.tsv", _COMMENTS + lines)
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert str(err.value).startswith(f"{path}:{line}: {message}")
+        with pytest.raises(ParseError) as ref:
+            oracles.string_cells_read_score_table(path)
+        assert ref.value.line == old_line
+        assert str(ref.value) != str(err.value)

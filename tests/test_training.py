@@ -1,11 +1,13 @@
 """Negative sampling, Adam, and the training loop."""
 
+import weakref
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import separable_corpus, toy_vocab_matrix
+from conftest import random_scorer_params, separable_corpus, toy_vocab_matrix
 from ruber.corpus import Dataset, QueryReplyPair
 from ruber.errors import ConfigError, ValidationError
 from ruber.unreferenced import (
@@ -16,7 +18,9 @@ from ruber.unreferenced import (
     init_scorer_params,
     sample_negative,
     train,
+    training,
 )
+from ruber.unreferenced.gradients import Gradients
 
 
 def _pairs(replies):
@@ -121,6 +125,30 @@ class TestAdamStep:
             assert_allclose(matrix, shadows["__emb__"], atol=1e-10)
         assert state.t == 3
 
+    def test_same_bytes_as_the_one_expression_update(self):
+        """In-place temporaries change no float, the 0-d ``mlp_out_b`` included."""
+        rng = np.random.default_rng(62)
+        params = random_scorer_params(3, 2, 4, rng)
+        matrix = rng.normal(0, 1, (5, 3))
+        config = TrainConfig(hidden=2, mlp_hidden=4, lr=0.01, fine_tune_embeddings=True)
+        state = AdamState(params, matrix.shape)
+        expected = [arr.copy() for _, arr in params.tensors()] + [matrix.copy()]
+        moments = [(np.zeros_like(arr), np.zeros_like(arr)) for arr in expected]
+        assert expected[-2].ndim == 0  # mlp_out_b
+        for t in range(1, 4):
+            grads = Gradients(random_scorer_params(3, 2, 4, rng), rng.normal(0, 1, (5, 3)))
+            adam_step(params, grads, state, config, matrix)
+            c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
+            flat = [g for _, g in grads.scorer.tensors()] + [grads.embeddings]
+            for arr, grad, (m, v) in zip(expected, flat, moments):
+                m *= config.beta1
+                m += (1.0 - config.beta1) * grad
+                v *= config.beta2
+                v += (1.0 - config.beta2) * grad * grad
+                arr -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
+            for (name, arr), want in zip([*params.tensors(), ("matrix", matrix)], expected):
+                assert arr.tobytes() == want.tobytes(), name
+
     def test_requires_matrix_when_fine_tuning(self):
         rng = np.random.default_rng(61)
         vocab, matrix = toy_vocab_matrix(rng, n_tokens=4, dim=3)
@@ -148,6 +176,23 @@ class TestTrain:
             assert np.array_equal(t1, t2), n1
         assert [(s.epoch, s.mean_loss, s.holdout_accuracy) for s in log1.epochs] == \
                [(s.epoch, s.mean_loss, s.holdout_accuracy) for s in log2.epochs]
+
+    def test_a_batch_gradients_are_freed_before_the_next_batch(self, monkeypatch):
+        rng = np.random.default_rng(76)
+        dataset, vocab, matrix = self._tiny(rng)
+        config = TrainConfig(hidden=4, mlp_hidden=6, epochs=2, batch_size=8, seed=5,
+                             fine_tune_embeddings=True)
+        earlier = []
+
+        def compute_gradients_spy(*args):
+            assert all(ref() is None for ref in earlier)
+            grads, loss = compute_gradients(*args)
+            earlier.append(weakref.ref(grads))
+            return grads, loss
+
+        monkeypatch.setattr(training, "compute_gradients", compute_gradients_spy)
+        train(dataset, vocab, matrix, config)
+        assert len(earlier) == 10  # 36 training pairs in batches of 8, twice
 
     def test_seed_changes_params(self):
         rng = np.random.default_rng(71)
