@@ -40,6 +40,11 @@ METRIC_COLUMNS = (
     "rouge_l",
 )
 
+# a human_mean cell may differ from its row's mean by half the 1e-6 precision
+# cells are written at; the 1e-12 covers the float rounding of both sides
+_MEAN_TOLERANCE = 5e-7 + 1e-12
+
+
 @dataclass
 class ScoreTable:
     """Everything cmd-level reporting needs, one row per pair."""
@@ -145,15 +150,19 @@ def read_score_table(path) -> ScoreTable:
     """Parse a file written by :func:`write_score_table`.
 
     The header must list ``human_1`` .. ``human_k``, ``human_mean`` and
-    then distinct metric names, in that order.  Each row is parsed into
-    numbers as it is read, and the first fault in file order raises
-    :class:`ParseError` at its line.
+    then distinct metric names, in that order, and ``k`` must equal the
+    ``# annotators:`` comment where there is one.  Each row's
+    ``human_mean`` must be within 5e-7 (plus float rounding) of the mean of
+    its annotator scores.  Each row is parsed into numbers as it is read,
+    and the first fault in file order raises :class:`ParseError` at its
+    line; a wrong annotator count is named at the header's line.
     """
     normalization: dict[str, tuple[float, float]] = {}
     source = ""
     header: list[str] | None = None
     header_line = 1  # stays 1 when the file has no header
     k = 0
+    declared = None  # the count in the "# annotators:" comment
     human = array("q")
     columns: list[array] = []  # one per metric
     with open(path, encoding="utf-8") as fh:
@@ -163,6 +172,14 @@ def read_score_table(path) -> ScoreTable:
                 comment = line[1:].strip()
                 if comment.startswith("source:"):
                     source = comment[len("source:"):].strip()
+                elif comment.startswith("annotators:"):
+                    try:
+                        declared = int(comment[len("annotators:"):])
+                    except ValueError as exc:
+                        raise ParseError(path, lineno,
+                                         f"malformed annotators comment: {comment!r}") from exc
+                    if header is not None:
+                        _check_declared(declared, k, path, header_line)
                 elif comment.startswith("normalization:"):
                     try:
                         name, lo, hi = _parse_normalization(comment)
@@ -173,6 +190,8 @@ def read_score_table(path) -> ScoreTable:
             if header is None:
                 header, header_line = line.split("\t"), lineno
                 k = _annotator_count(header, path, lineno)
+                if declared is not None:
+                    _check_declared(declared, k, path, lineno)
                 columns = [array("d") for _ in header[k + 1:]]
                 continue
             cells = line.split("\t")
@@ -183,6 +202,7 @@ def read_score_table(path) -> ScoreTable:
                 )
             try:
                 scores = [int(cell) for cell in cells[:k]]
+                human_mean = float(cells[k])
                 for column, cell in zip(columns, cells[k + 1:]):
                     column.append(float(cell))
             except ValueError as exc:
@@ -190,6 +210,10 @@ def read_score_table(path) -> ScoreTable:
             bad = [v for v in scores if v not in VALID_SCORES]
             if bad:
                 raise ParseError(path, lineno, f"human score {bad[0]} is not in {{0, 1, 2}}")
+            mean = sum(scores) / k
+            if not abs(human_mean - mean) <= _MEAN_TOLERANCE:
+                raise ParseError(path, lineno, f"human_mean {cells[k]} is not the mean "
+                                 f"{mean!r} of the row's human scores")
             human.extend(scores)
     if header is None or not human:
         raise ParseError(path, header_line, "no table content found")
@@ -217,6 +241,12 @@ def _annotator_count(header: list[str], path, lineno: int) -> int:
             return k
     raise ParseError(path, lineno, "header must be human_1 .. human_k, human_mean, then "
                      f"distinct metric names; column {col} is {header[col - 1]!r}")
+
+
+def _check_declared(declared: int, k: int, path, header_line: int) -> None:
+    if declared != k:
+        raise ParseError(path, header_line, f"header has {k} human_i columns but the "
+                         f"annotators comment declares {declared}")
 
 
 def _parse_normalization(comment: str) -> tuple[str, float, float]:

@@ -23,6 +23,7 @@ from .scorer import ScorerParams, init_scorer_params, unreferenced_score
 
 NEGATIVE_RETRY_CAP = 100
 HOLDOUT_FRACTION = 0.1
+_ADAM_BLOCK = 2 ** 14  # elements per block of an Adam update (128 KiB of float64)
 
 
 def sample_negative(pairs, positive_index: int, rng: np.random.Generator) -> Utterance:
@@ -84,7 +85,14 @@ def adam_step(
     config: TrainConfig,
     matrix: np.ndarray | None = None,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    Each tensor is updated in blocks of at most :data:`_ADAM_BLOCK`
+    elements, through two block-sized scratch arrays, so a step holds no
+    temporary the size of the embedding matrix.  Every block runs the
+    operations of the one-expression update in the same order, so every
+    float is the same to the bit.
+    """
     pairs = [(arr, grad) for (_, arr), (_, grad)
              in zip(params.tensors(), grads.scorer.tensors())]
     if grads.embeddings is not None:
@@ -94,20 +102,51 @@ def adam_step(
     state.t += 1
     c1 = 1.0 - config.beta1 ** state.t
     c2 = 1.0 - config.beta2 ** state.t
+    size = min(_ADAM_BLOCK, max(arr.size for arr, _ in pairs))
+    scratch = np.empty(size), np.empty(size)
     for (arr, grad), m, v in zip(pairs, state.m, state.v):
-        m *= config.beta1
-        m += (1.0 - config.beta1) * grad
-        v *= config.beta2
-        v += (1.0 - config.beta2) * grad * grad
-        # lr * (m / c1) / (sqrt(v / c2) + eps) in two temporaries; out= keeps
-        # the quotient of a 0-d tensor an array, which np.sqrt can write to
-        denom = np.divide(v, c2, out=np.empty_like(v))
-        np.sqrt(denom, out=denom)
-        denom += config.eps
-        step = m / c1
-        step *= config.lr
-        step /= denom
-        arr -= step
+        for index in _blocks(arr.shape):
+            a, g, mb, vb = arr[index], grad[index], m[index], v[index]
+            # views of the scratch shaped like the block; for a 0-d block, out=
+            # keeps np.multiply and np.divide from returning a scalar
+            tmp = scratch[0][:a.size].reshape(a.shape)
+            step = scratch[1][:a.size].reshape(a.shape)
+            mb *= config.beta1
+            np.multiply(1.0 - config.beta1, g, out=tmp)
+            mb += tmp
+            vb *= config.beta2
+            np.multiply(1.0 - config.beta2, g, out=tmp)
+            tmp *= g
+            vb += tmp
+            # lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(vb, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += config.eps
+            np.divide(mb, c1, out=step)
+            step *= config.lr
+            step /= tmp
+            a -= step
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Indices of views that tile an array of ``shape`` along its leading axes.
+
+    Each view holds at most :data:`_ADAM_BLOCK` elements: whole rows
+    where a row fits, otherwise the blocks of each row in turn.  A 0-d
+    shape is one block, indexed by ``...`` so that it stays a view.
+    """
+    if not shape:
+        yield ...
+        return
+    row = int(np.prod(shape[1:]))
+    if row > _ADAM_BLOCK:
+        for i in range(shape[0]):
+            for rest in _blocks(shape[1:]):
+                yield (i, *rest)
+        return
+    rows = _ADAM_BLOCK // max(row, 1)
+    for start in range(0, shape[0], rows):
+        yield (slice(start, start + rows),)
 
 
 def train(

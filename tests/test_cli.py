@@ -727,6 +727,30 @@ class TestInputsEndInExitCodes:
                         f"human_mean, then distinct metric names; column {k + 1} is 'human_{k}'")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
+    @pytest.mark.parametrize("edit, message", [
+        ("mean", "human_mean 9.000000 is not the mean"),
+        ("count", "header has 2 human_i columns but the annotators comment declares 3"),
+    ], ids=["mean", "count"])
+    def test_inconsistent_human_columns_are_exit_3(self, pipeline, tmp_path, capsys,
+                                                   edit, message):
+        lines = open(pipeline["scores"]).read().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        k = lines[header].split("\t").index("human_mean")
+        assert k == 2
+        if edit == "mean":
+            at = header + 2
+            cells = lines[at].split("\t")
+            cells[k] = "9.000000"
+            lines[at] = "\t".join(cells)
+        else:
+            at = header
+            lines = [line.replace("# annotators: 2", "# annotators: 3") for line in lines]
+        table = write_lines(tmp_path / "scores.tsv", lines)
+        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {table}:{at + 1}: {message}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
+
     def test_literal_unk_token_in_corpus(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "unk.tsv", ["a <unk> b\tb a", "<unk> a\tb"] * 4)
         out = str(tmp_path / "emb.txt")

@@ -328,3 +328,60 @@ class TestFirstFaultInFileOrder:
             oracles.string_cells_read_score_table(path)
         assert ref.value.line == old_line
         assert str(ref.value) != str(err.value)
+
+
+class TestHumanMeanAndAnnotatorCount:
+    """``human_mean`` must be its row's mean, and ``k`` the annotators comment's count."""
+
+    HEADER = "human_1\thuman_2\thuman_mean\tref_score"  # line 4, after _COMMENTS
+
+    @pytest.mark.parametrize("cell, message", [
+        ("0.5000006", "human_mean 0.5000006 is not the mean 0.5 of the row's human scores"),
+        ("1.5", "human_mean 1.5 is not the mean 0.5 of the row's human scores"),
+        ("nan", "human_mean nan is not the mean 0.5 of the row's human scores"),
+        ("half", "non-numeric cell: could not convert string to float: 'half'"),
+    ], ids=["just-beyond-rounding", "wrong", "nan", "non-numeric"])
+    def test_a_wrong_mean_is_refused_at_its_row(self, tmp_path, cell, message):
+        path = write_lines(tmp_path / "bad.tsv", _COMMENTS + [
+            self.HEADER, "2\t2\t2.000000\t0.1", f"1\t0\t{cell}\t0.2", "0\t0\t0.000000\t0.3"])
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert str(err.value) == f"{path}:6: {message}"
+
+    def test_a_mean_within_rounding_loads(self, tmp_path):
+        path = write_lines(tmp_path / "ok.tsv", _COMMENTS + [
+            self.HEADER, "1\t0\t0.5000005\t0.2", "1\t2\t1.4999995\t0.3", "2\t1\t1.5\t0.4"])
+        assert read_score_table(path).n_pairs == 3
+
+    @pytest.mark.parametrize("at", [2, 4], ids=["comment-before-header", "comment-after-header"])
+    def test_a_count_unlike_the_header_is_refused_at_the_header_line(self, tmp_path, at):
+        lines = ["# score table", "# source: x", self.HEADER, "1\t0\t0.500000\t0.2"]
+        lines.insert(at, "# annotators: 3")
+        header_line = lines.index(self.HEADER) + 1
+        path = write_lines(tmp_path / "bad.tsv", lines)
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert str(err.value) == (f"{path}:{header_line}: header has 2 human_i columns "
+                                  "but the annotators comment declares 3")
+
+    def test_a_malformed_count_is_refused_at_its_line(self, tmp_path):
+        path = write_lines(tmp_path / "bad.tsv", [
+            "# score table", "# annotators: two", self.HEADER, "1\t0\t0.500000\t0.2"])
+        with pytest.raises(ParseError) as err:
+            read_score_table(path)
+        assert str(err.value) == f"{path}:2: malformed annotators comment: 'annotators: two'"
+
+    def test_a_table_without_the_comment_loads(self, tmp_path):
+        path = write_lines(tmp_path / "ok.tsv", [self.HEADER, "1\t0\t0.500000\t0.2"])
+        table = read_score_table(path)
+        assert table.n_annotators == 2 and table.human_mean.tolist() == [0.5]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 128])
+    def test_every_mean_a_written_table_holds_round_trips(self, tmp_path, k):
+        """One row per score sum 0 .. 2k; at k=128 some means round by exactly 5e-7."""
+        rows = [[2] * (s // 2) + [s % 2] + [0] * (k - s // 2 - 1) for s in range(2 * k)]
+        rows.append([2] * k)
+        table = ScoreTable(np.array(rows), {"ref_score": np.linspace(0, 1, 2 * k + 1)})
+        path = str(tmp_path / "t.tsv")
+        write_score_table(table, path)
+        assert np.array_equal(read_score_table(path).human_scores, table.human_scores)

@@ -1,5 +1,6 @@
 """Negative sampling, Adam, and the training loop."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -125,18 +126,20 @@ class TestAdamStep:
             assert_allclose(matrix, shadows["__emb__"], atol=1e-10)
         assert state.t == 3
 
-    def test_same_bytes_as_the_one_expression_update(self):
-        """In-place temporaries change no float, the 0-d ``mlp_out_b`` included."""
-        rng = np.random.default_rng(62)
-        params = random_scorer_params(3, 2, 4, rng)
-        matrix = rng.normal(0, 1, (5, 3))
-        config = TrainConfig(hidden=2, mlp_hidden=4, lr=0.01, fine_tune_embeddings=True)
+    @staticmethod
+    def _assert_one_expression_bytes(dims, matrix, config, rng, steps=3):
+        """``adam_step`` leaves every tensor with the one-expression update's bytes.
+
+        ``dims`` are the scorer's embedding, hidden and MLP sizes.  Checked
+        after each step; returns the one-expression update's final values.
+        """
+        params = random_scorer_params(*dims, rng)
         state = AdamState(params, matrix.shape)
         expected = [arr.copy() for _, arr in params.tensors()] + [matrix.copy()]
         moments = [(np.zeros_like(arr), np.zeros_like(arr)) for arr in expected]
-        assert expected[-2].ndim == 0  # mlp_out_b
-        for t in range(1, 4):
-            grads = Gradients(random_scorer_params(3, 2, 4, rng), rng.normal(0, 1, (5, 3)))
+        for t in range(1, steps + 1):
+            grads = Gradients(random_scorer_params(*dims, rng),
+                              rng.normal(0, 1, matrix.shape))
             adam_step(params, grads, state, config, matrix)
             c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
             flat = [g for _, g in grads.scorer.tensors()] + [grads.embeddings]
@@ -148,6 +151,51 @@ class TestAdamStep:
                 arr -= config.lr * (m / c1) / (np.sqrt(v / c2) + config.eps)
             for (name, arr), want in zip([*params.tensors(), ("matrix", matrix)], expected):
                 assert arr.tobytes() == want.tobytes(), name
+        return expected
+
+    def test_same_bytes_as_the_one_expression_update(self):
+        """In-place temporaries change no float, the 0-d ``mlp_out_b`` included."""
+        rng = np.random.default_rng(62)
+        config = TrainConfig(hidden=2, mlp_hidden=4, lr=0.01, fine_tune_embeddings=True)
+        expected = self._assert_one_expression_bytes((3, 2, 4), rng.normal(0, 1, (5, 3)),
+                                                     config, rng)
+        assert expected[-2].ndim == 0  # mlp_out_b
+
+    @pytest.mark.parametrize("block", [training._ADAM_BLOCK, 7])
+    def test_same_bytes_in_blocks_of_a_strided_view(self, monkeypatch, block):
+        """Several blocks and a partial last one, written through a view to its base.
+
+        At the real block size the (1500, 40) matrix is three blocks of
+        409 rows and one of 273; at 7 elements every 40-element row, and
+        every scorer tensor but ``mlp_out_b``, spans several blocks.
+        """
+        monkeypatch.setattr(training, "_ADAM_BLOCK", block)
+        rng = np.random.default_rng(63)
+        base = rng.normal(0, 1, (1500, 80))
+        untouched = base[:, 1::2].copy()
+        matrix = base[:, ::2]
+        assert not matrix.flags.c_contiguous
+        config = TrainConfig(hidden=3, mlp_hidden=5, lr=0.01, fine_tune_embeddings=True)
+        expected = self._assert_one_expression_bytes((40, 3, 5), matrix, config, rng)
+        assert base[:, ::2].tobytes() == expected[-1].tobytes()
+        assert base[:, 1::2].tobytes() == untouched.tobytes()
+
+    def test_traced_peak_does_not_grow_with_the_vocabulary(self):
+        """A step over a 4 MiB matrix allocates only its block-sized scratch."""
+        rng = np.random.default_rng(64)
+        params = random_scorer_params(64, 2, 4, rng)
+        matrix = rng.normal(0, 1, (8192, 64))
+        assert matrix.nbytes >= 4 * 2 ** 20
+        config = TrainConfig(hidden=2, mlp_hidden=4, fine_tune_embeddings=True)
+        state = AdamState(params, matrix.shape)
+        grads = Gradients(random_scorer_params(64, 2, 4, rng), rng.normal(0, 1, matrix.shape))
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state, config, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_requires_matrix_when_fine_tuning(self):
         rng = np.random.default_rng(61)
