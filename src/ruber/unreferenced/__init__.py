@@ -5,7 +5,7 @@ Other names, such as the tensor classes, come from their own modules.
 
 from .checkpoint import load_checkpoint, save_checkpoint, vocab_content_hash
 from .config import TrainConfig
-from .gradients import batch_loss, compute_gradients, margin_loss
+from .gradients import compute_gradients, margin_loss
 from .scorer import (
     ScorerParams,
     encode,
@@ -22,7 +22,6 @@ __all__ = [
     "ScorerParams",
     "TrainConfig",
     "adam_step",
-    "batch_loss",
     "compute_gradients",
     "encode",
     "gru_step",

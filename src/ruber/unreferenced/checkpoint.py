@@ -4,8 +4,9 @@ Layout, all integers little-endian:
 
 * magic ``RUBR`` (4 bytes)
 * format version, u16
-* config block: u32 byte length + that many bytes of UTF-8 JSON
-  (embedding dim plus every :class:`TrainConfig` field, sorted keys)
+* config block: u32 byte length + that many bytes of UTF-8 JSON: an
+  object whose keys are exactly ``embed_dim`` and the :class:`TrainConfig`
+  fields, sorted
 * vocabulary hash, u64: FNV-1a over each token's UTF-8 bytes followed by
   a newline, in id order
 * every scorer tensor in declaration order: u32 rank, u32 per dimension,
@@ -33,6 +34,9 @@ from .scorer import ScorerParams, scorer_shapes, zero_scorer_params
 
 MAGIC = b"RUBR"
 FORMAT_VERSION = 1
+
+# the config block holds exactly these keys
+_CONFIG_KEYS = frozenset(["embed_dim", *(field.name for field in fields(TrainConfig))])
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -113,11 +117,17 @@ def load_checkpoint(
         blob = json.loads(reader.take(blob_len).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
         raise CheckpointFormatError(f"{path}: corrupt config block") from exc
-    try:
-        embed_dim = blob.pop("embed_dim")
-        config = TrainConfig(**blob)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise CheckpointFormatError(f"{path}: config block missing fields") from exc
+    if not isinstance(blob, dict):
+        raise CheckpointFormatError(f"{path}: config block is not a JSON object")
+    if blob.keys() != _CONFIG_KEYS:
+        missing = ", ".join(sorted(_CONFIG_KEYS - blob.keys())) or "none"
+        unknown = ", ".join(map(repr, sorted(blob.keys() - _CONFIG_KEYS))) or "none"
+        raise CheckpointFormatError(
+            f"{path}: config block fields differ from the format "
+            f"(missing: {missing}; unknown: {unknown})"
+        )
+    embed_dim = blob.pop("embed_dim")
+    config = TrainConfig(**blob)
     _check_config(path, embed_dim, config)
 
     (vocab_hash,) = struct.unpack("<Q", reader.take(8))

@@ -6,6 +6,8 @@ accumulated analytically: logistic and tanh derivatives through the MLP
 head, product rules through the bilinear match feature, and
 back-propagation through time through both directions of both GRU
 encoders.  Samples whose loss clamps to zero contribute exactly nothing.
+:func:`compute_gradients` is the one place the loss of a batch is
+computed; it returns the mean loss with the gradients.
 
 The forward pass runs one triple at a time: ``score_with_cache`` on
 the positive pair, then the negative reply alone against the query
@@ -45,8 +47,6 @@ from .scorer import (
     GruParams,
     ScoreCache,
     ScorerParams,
-    _encode_batch,
-    _head,
     _score_reply,
     score_with_cache,
     zero_scorer_params,
@@ -83,31 +83,6 @@ class Gradients:
 
     scorer: ScorerParams
     embeddings: np.ndarray | None = None
-
-
-def batch_loss(
-    batch: list[Triple],
-    params: ScorerParams,
-    vocab,
-    matrix: np.ndarray,
-    config: TrainConfig,
-) -> float:
-    """Mean margin loss over ``batch`` (forward passes only).
-
-    Each query is encoded once and all replies together, so a batch
-    costs one recurrence per direction per encoder and one head call.
-    """
-    if not batch:
-        raise ValueError("batch must not be empty")
-    queries, positives, negatives = zip(*batch)
-    qvecs = _encode_batch(queries, params.query_encoder, vocab, matrix, config.max_len)
-    rvecs = _encode_batch(positives + negatives, params.reply_encoder, vocab, matrix,
-                          config.max_len)
-    scores, _, _ = _head(np.concatenate([qvecs, qvecs]), rvecs, params)
-    n = len(batch)
-    total = sum(margin_loss(s_pos, s_neg, config.margin)
-                for s_pos, s_neg in zip(scores[:n], scores[n:]))
-    return total / n
 
 
 def compute_gradients(

@@ -215,28 +215,22 @@ class ScoreCache:
     score: float
 
 
-def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, pad=None, collect=False):
-    """Run one GRU direction over time-major inputs from state ``h``.
+def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, collect=False):
+    """Run one GRU direction over one row's inputs ``xs`` (T, d) from state ``h`` (H,).
 
-    ``xs`` is (T, d) for one row or (T, B, d) for B rows, and ``h`` is
-    (H,) or (B, H) to match.  The input projections of all steps are one
-    product each; the recurrence is a per-step loop.  ``pad`` (T, B)
-    marks the steps that lie outside a row: their update-gate
-    pre-activation is -inf, so the update gate is exactly 0 and the
-    state passes through unchanged.  Returns the final state and, when
-    ``collect`` is set (one row only), the (T, 4H) step record laid out
-    as in :class:`EncodeCache` (else None).
+    The input projections of all steps are one product each; the
+    recurrence is a per-step loop.  Returns the final state and, when
+    ``collect`` is set, the (T, 4H) step record laid out as in
+    :class:`EncodeCache` (else None).
     """
     hidden = params.hidden_size
     gate_in = xs @ params.w_gates.T + params.b_gates
     cand_in = xs @ params.w_cand.T + params.b_cand
-    if pad is not None:
-        gate_in[pad, hidden:] = -np.inf
     u_gates, u_cand = params.u_gates.T, params.u_cand.T
     steps = np.empty((len(xs), 4 * hidden)) if collect else None
     for t in range(len(xs)):
         gates = sigmoid(gate_in[t] + h @ u_gates)
-        reset, update = gates[..., :hidden], gates[..., hidden:]
+        reset, update = gates[:hidden], gates[hidden:]
         cand = np.tanh(cand_in[t] + (reset * h) @ u_cand)
         if collect:
             step = steps[t]
@@ -254,41 +248,19 @@ def _token_ids(utterance: Utterance, vocab: Vocabulary, max_len: int) -> list[in
     return [vocab.id_of(tok) for tok in utterance[:max_len]]
 
 
-def _encode_ids(ids, encoder: BiGruEncoder, matrix: np.ndarray, pad=None, collect=False):
-    """Sentence vectors of token-id rows.
+def _encode_ids(ids: list[int], encoder: BiGruEncoder, matrix: np.ndarray, collect=False):
+    """Sentence vector (2H,) of one row of token ids.
 
-    ``ids`` is a list of T ids for one row, giving a (2H,) vector, or a
-    time-major (T, B) array with its ``pad`` mask, giving (B, 2H).  Both
-    directions start from a zero state; the backward one takes the steps
-    in reverse.  Returns the vectors and, when ``collect`` is set (one
-    row only), the :class:`EncodeCache` (else None).
+    Both directions start from a zero state; the backward one takes the
+    steps in reverse.  Returns the vector and, when ``collect`` is set,
+    the :class:`EncodeCache` (else None).
     """
     xs = matrix[ids]
-    h0 = np.zeros(xs.shape[1:-1] + (encoder.hidden_size,))
-    h_fwd, fwd = _run_rows(xs, encoder.forward, h0, pad, collect)
-    back_pad = None if pad is None else pad[::-1]
-    h_bwd, bwd = _run_rows(xs[::-1], encoder.backward, h0, back_pad, collect)
-    vec = np.concatenate([h_fwd, h_bwd], axis=-1)
+    h0 = np.zeros(encoder.hidden_size)
+    h_fwd, fwd = _run_rows(xs, encoder.forward, h0, collect)
+    h_bwd, bwd = _run_rows(xs[::-1], encoder.backward, h0, collect)
+    vec = np.concatenate([h_fwd, h_bwd])
     return vec, (EncodeCache(ids, fwd, bwd) if collect else None)
-
-
-def _encode_batch(utterances, encoder: BiGruEncoder, vocab: Vocabulary,
-                  matrix: np.ndarray, max_len: int) -> np.ndarray:
-    """Sentence vectors (B, 2H) of ``utterances``, encoded together.
-
-    Shorter rows are left-padded to the longest, so every row ends at
-    the last step: the forward direction holds a padded row at the zero
-    state until the row starts, and the backward direction carries the
-    row's final state through the padding.
-    """
-    rows = [_token_ids(utt, vocab, max_len) for utt in utterances]
-    steps = max(map(len, rows))
-    ids = np.zeros((steps, len(rows)), dtype=np.intp)
-    for b, row in enumerate(rows):
-        ids[steps - len(row):, b] = row
-    pad = np.arange(steps)[:, None] < [steps - len(row) for row in rows]
-    vecs, _ = _encode_ids(ids, encoder, matrix, pad)
-    return vecs
 
 
 def encode(
@@ -307,20 +279,17 @@ def encode(
     return vec
 
 
-def _head(qvecs: np.ndarray, rvecs: np.ndarray, params: ScorerParams):
-    """Scores of query and reply sentence vectors, strictly inside (0, 1).
+def _head(qvec: np.ndarray, rvec: np.ndarray, params: ScorerParams):
+    """Score of one pair's (2H,) query and reply vectors, strictly inside (0, 1).
 
-    The vectors are (2H,) for one pair or (B, 2H) for B pairs.  Returns
-    ``(scores, feats, hidden)``: a list of floats, then the MLP input
-    features (..., 4H+1) and tanh activations (..., m) backprop needs.
+    Returns ``(score, feats, hidden)``: the score, then the (4H+1,) MLP
+    input features and (m,) tanh activations backprop needs.
     """
-    quad = (qvecs @ params.bilinear)[..., None, :] @ rvecs[..., :, None]
-    feats = np.concatenate([qvecs, rvecs, quad[..., 0]], axis=-1)
+    quad = (qvec @ params.bilinear)[None, :] @ rvec[:, None]
+    feats = np.concatenate([qvec, rvec, quad[0]])
     hidden = np.tanh(feats @ params.mlp_hidden_w.T + params.mlp_hidden_b)
-    z = hidden @ params.mlp_out_w + params.mlp_out_b
-    scores = [min(max(sigmoid(v, math.tanh), _SCORE_MIN), _SCORE_MAX)
-              for v in z.ravel().tolist()]
-    return scores, feats, hidden
+    z = float(hidden @ params.mlp_out_w + params.mlp_out_b)
+    return min(max(sigmoid(z, math.tanh), _SCORE_MIN), _SCORE_MAX), feats, hidden
 
 
 def _score_reply(
@@ -335,7 +304,7 @@ def _score_reply(
     """Score of ``reply`` against the (2H,) query vector ``qvec``; the cache has no query."""
     rvec, rcache = _encode_ids(_token_ids(reply, vocab, max_len), params.reply_encoder,
                                matrix, collect=collect)
-    (score,), feats, hidden = _head(qvec, rvec, params)
+    score, feats, hidden = _head(qvec, rvec, params)
     return score, (ScoreCache(None, rcache, feats, hidden, score) if collect else None)
 
 

@@ -70,15 +70,18 @@ def write_lines(path, lines):
     return str(path)
 
 
-def rewrite_checkpoint_header(data: bytes, **changes) -> bytes:
+def rewrite_checkpoint_header(data: bytes, drop=(), **changes) -> bytes:
     """Checkpoint bytes with config-block fields replaced by ``changes``.
 
-    The magic and version (6 bytes) stay; the JSON block is re-encoded
-    and its u32 length prefix updated; the rest is kept byte for byte.
+    The fields named in ``drop`` are removed.  The magic and version
+    (6 bytes) stay; the JSON block is re-encoded and its u32 length
+    prefix updated; the rest is kept byte for byte.
     """
     (blob_len,) = struct.unpack_from("<I", data, 6)
     blob = json.loads(data[10:10 + blob_len])
     blob.update(changes)
+    for field in drop:
+        del blob[field]
     encoded = json.dumps(blob, sort_keys=True).encode("utf-8")
     return data[:6] + struct.pack("<I", len(encoded)) + encoded + data[10 + blob_len:]
 

@@ -6,9 +6,10 @@ logistic, dict-based n-gram counting, brute-force subsequence search,
 and mpmath extended precision for the statistics.  Agreement between
 these and the vectorized library code is what the oracle tests assert.
 The exceptions are :func:`loop_compute_gradients`, a frozen copy of an
-earlier numpy implementation of the scorer's backward pass, and
-:func:`listed_scorer_init`, the scorer's initializer as it was written
-out tensor by tensor.
+earlier numpy implementation of the scorer's backward pass,
+:func:`padded_batch_loss`, the scorer's batched forward as it was
+written with left-padded rows, and :func:`listed_scorer_init`, the
+scorer's initializer as it was written out tensor by tensor.
 """
 
 from __future__ import annotations
@@ -526,6 +527,80 @@ def loop_compute_gradients(batch, params, vocab, matrix, config):
     if emb_grad is not None:
         emb_grad *= scale
     return grads, emb_grad, total * scale
+
+
+# ---------------------------------------------------------------------------
+# padded batch forward
+#
+# A frozen copy of the scorer's batched forward as it stood while the GRU
+# forward also took (T, B) batches.  Every row is left-padded to the
+# longest; at a padded step the update-gate pre-activation is -inf, so
+# the update gate is exactly 0 and the state passes through unchanged.
+# A batch costs one recurrence per direction per encoder and one head
+# call, which keeps finite-difference sweeps over the mean loss fast.
+
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def padded_run_rows(xs, params, h, pad):
+    """Final (B, H) states of one GRU direction over time-major (T, B, d) inputs.
+
+    ``pad`` (T, B) marks the steps that lie outside a row.
+    """
+    hidden = params.hidden_size
+    gate_in = xs @ params.w_gates.T + params.b_gates
+    cand_in = xs @ params.w_cand.T + params.b_cand
+    gate_in[pad, hidden:] = -np.inf
+    u_gates, u_cand = params.u_gates.T, params.u_cand.T
+    for t in range(len(xs)):
+        gates = 0.5 * (1.0 + np.tanh(0.5 * (gate_in[t] + h @ u_gates)))
+        reset, update = gates[..., :hidden], gates[..., hidden:]
+        cand = np.tanh(cand_in[t] + (reset * h) @ u_cand)
+        h = (1.0 - update) * h + update * cand
+    return h
+
+
+def padded_encode(utterances, encoder, vocab, matrix, max_len):
+    """Sentence vectors (B, 2H) of ``utterances``, left-padded to the longest.
+
+    Every row ends at the last step: the forward direction holds a padded
+    row at the zero state until the row starts, and the backward
+    direction carries the row's final state through the padding.
+    """
+    rows = [[vocab.id_of(tok) for tok in utt[:max_len]] for utt in utterances]
+    steps = max(map(len, rows))
+    ids = np.zeros((steps, len(rows)), dtype=np.intp)
+    for b, row in enumerate(rows):
+        ids[steps - len(row):, b] = row
+    pad = np.arange(steps)[:, None] < [steps - len(row) for row in rows]
+    xs = matrix[ids]
+    h0 = np.zeros((len(rows), encoder.hidden_size))
+    h_fwd = padded_run_rows(xs, encoder.forward, h0, pad)
+    h_bwd = padded_run_rows(xs[::-1], encoder.backward, h0, pad[::-1])
+    return np.concatenate([h_fwd, h_bwd], axis=-1)
+
+
+def padded_batch_loss(batch, params, vocab, matrix, config):
+    """Mean margin loss over ``batch`` of (query, good reply, bad reply) triples.
+
+    The queries are encoded once and all replies together; one head call
+    scores every pair.
+    """
+    queries, positives, negatives = zip(*batch)
+    qvecs = padded_encode(queries, params.query_encoder, vocab, matrix, config.max_len)
+    rvecs = padded_encode(positives + negatives, params.reply_encoder, vocab, matrix,
+                          config.max_len)
+    qvecs = np.concatenate([qvecs, qvecs])
+    quad = (qvecs @ params.bilinear)[..., None, :] @ rvecs[..., :, None]
+    feats = np.concatenate([qvecs, rvecs, quad[..., 0]], axis=-1)
+    hidden = np.tanh(feats @ params.mlp_hidden_w.T + params.mlp_hidden_b)
+    z = hidden @ params.mlp_out_w + params.mlp_out_b
+    scores = [min(max(0.5 * (1.0 + math.tanh(0.5 * v)), 1e-300), _BELOW_ONE)
+              for v in z.tolist()]
+    n = len(batch)
+    total = sum(max(0.0, config.margin - s_pos + s_neg)
+                for s_pos, s_neg in zip(scores[:n], scores[n:]))
+    return total / n
 
 
 # ---------------------------------------------------------------------------

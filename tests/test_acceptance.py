@@ -18,6 +18,7 @@ from oracles import (
     mp_pearson_r,
     mp_spearman_rho,
     mp_t_two_tailed_p,
+    padded_batch_loss,
     scalar_encode,
     scalar_gru_step,
     scalar_unreferenced_score,
@@ -31,7 +32,6 @@ from ruber.embeddings import save_text_embeddings
 from ruber.referenced import referenced_score
 from ruber.unreferenced import (
     TrainConfig,
-    batch_loss,
     compute_gradients,
     encode,
     gru_step,
@@ -86,9 +86,9 @@ def test_criterion_01_gradients_match_finite_differences():
             for i in range(flat.size):
                 original = flat[i]
                 flat[i] = original + step
-                up = batch_loss(batch, params, vocab, matrix, config)
+                up = padded_batch_loss(batch, params, vocab, matrix, config)
                 flat[i] = original - step
-                down = batch_loss(batch, params, vocab, matrix, config)
+                down = padded_batch_loss(batch, params, vocab, matrix, config)
                 flat[i] = original
                 numeric = (up - down) / (2.0 * step)
                 analytic = gflat[i]

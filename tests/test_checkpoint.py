@@ -189,6 +189,28 @@ class TestFormatErrors:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(str(bad))
 
+    @pytest.mark.parametrize("drop, missing", [
+        (("max_len", "margin"), "margin, max_len"),
+        (("hidden",), "hidden"),
+    ], ids=["defaulted", "sized"])
+    def test_missing_fields_are_named_not_defaulted(self, tmp_path, drop, missing):
+        path, data = self._saved(tmp_path)
+        bad = tmp_path / "dropped.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(data, drop=drop))
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(str(bad))
+        assert str(err.value) == (f"{bad}: config block fields differ from the format "
+                                  f"(missing: {missing}; unknown: none)")
+
+    def test_unknown_field_is_named(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        bad = tmp_path / "extra.ckpt"
+        bad.write_bytes(rewrite_checkpoint_header(data, dropout=0.1))
+        with pytest.raises(CheckpointFormatError) as err:
+            load_checkpoint(str(bad))
+        assert str(err.value) == (f"{bad}: config block fields differ from the format "
+                                  f"(missing: none; unknown: 'dropout')")
+
     def test_integer_valued_float_fields_load(self, tmp_path):
         path, data = self._saved(tmp_path)
         ok = tmp_path / "intlr.ckpt"

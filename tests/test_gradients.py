@@ -14,7 +14,7 @@ from ruber.unreferenced import (
     unreferenced_score,
 )
 from ruber.unreferenced import gradients, scorer
-from ruber.unreferenced.gradients import _SUB_BATCH, batch_loss
+from ruber.unreferenced.gradients import _SUB_BATCH
 
 
 def _random_triple(rng, vocab_size=8, max_tokens=4):
@@ -26,12 +26,16 @@ def _random_triple(rng, vocab_size=8, max_tokens=4):
 
 
 def _fd_gradient(batch, params, vocab, matrix, config, tensor, index, step=1e-5):
-    """Central finite difference of the mean batch loss at one entry."""
+    """Central finite difference of the mean batch loss at one entry.
+
+    The loss is the frozen padded batch forward, which
+    ``TestBatchLossAgainstLoopOracle`` ties to the scorer's per-pair scores.
+    """
     original = tensor[index]
     tensor[index] = original + step
-    up = batch_loss(batch, params, vocab, matrix, config)
+    up = oracles.padded_batch_loss(batch, params, vocab, matrix, config)
     tensor[index] = original - step
-    down = batch_loss(batch, params, vocab, matrix, config)
+    down = oracles.padded_batch_loss(batch, params, vocab, matrix, config)
     tensor[index] = original
     return (up - down) / (2.0 * step)
 
@@ -70,7 +74,8 @@ class TestComputeGradients:
         _, vocab, matrix, params, _, _ = self._setup(50)
         config = TrainConfig(hidden=3, mlp_hidden=5, margin=0.5)
         batch = [(["t0", "t1"], ["t2"], ["t2"])]
-        assert batch_loss(batch, params, vocab, matrix, config) == 0.5
+        _, loss = compute_gradients(batch, params, vocab, matrix, config)
+        assert loss == 0.5
 
     def test_forced_zero_gradients_via_large_gap(self):
         """A sample whose hinge is inactive contributes exactly zero."""
@@ -207,9 +212,8 @@ class TestComputeGradients:
     def test_batch_loss_matches_gradient_loss(self):
         _, vocab, matrix, params, config, batch = self._setup(59)
         _, loss = compute_gradients(batch, params, vocab, matrix, config)
-        assert batch_loss(batch, params, vocab, matrix, config) == pytest.approx(
-            loss, abs=1e-15
-        )
+        padded = oracles.padded_batch_loss(batch, params, vocab, matrix, config)
+        assert padded == pytest.approx(loss, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +513,7 @@ class TestHeadBackwardAgainstLoopOracle:
 
 
 # ---------------------------------------------------------------------------
-# batch_loss (rows encoded together) against the per-pair loop oracle
+# the padded batch loss (rows encoded together) against the per-pair scorer
 
 BATCH_INSTANCES = 40
 
@@ -543,12 +547,12 @@ def _batch_instance(index):
     return batch, params, vocab, matrix, config
 
 
-def _loop_mean_hinge(batch, params, vocab, matrix, config):
+def _per_pair_mean_hinge(batch, params, vocab, matrix, config):
     total = 0.0
     for query, pos, neg in batch:
-        s_pos, _ = oracles._loop_score(query, pos, params, vocab, matrix, config.max_len)
-        s_neg, _ = oracles._loop_score(query, neg, params, vocab, matrix, config.max_len)
-        total += max(0.0, config.margin - s_pos + s_neg)
+        s_pos, s_neg = (unreferenced_score(query, reply, params, vocab, matrix, config.max_len)
+                        for reply in (pos, neg))
+        total += margin_loss(s_pos, s_neg, config.margin)
     return total / len(batch)
 
 
@@ -556,8 +560,8 @@ class TestBatchLossAgainstLoopOracle:
     @pytest.mark.parametrize("index", range(BATCH_INSTANCES))
     def test_matches_mean_hinge_of_per_pair_scores(self, index):
         batch, params, vocab, matrix, config = _batch_instance(index)
-        got = batch_loss(batch, params, vocab, matrix, config)
-        want = _loop_mean_hinge(batch, params, vocab, matrix, config)
+        got = oracles.padded_batch_loss(batch, params, vocab, matrix, config)
+        want = _per_pair_mean_hinge(batch, params, vocab, matrix, config)
         assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_instances_cover_the_listed_cases(self):

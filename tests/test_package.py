@@ -26,7 +26,6 @@ EXPORTS = {
         "ScorerParams",
         "TrainConfig",
         "adam_step",
-        "batch_loss",
         "compute_gradients",
         "encode",
         "gru_step",

@@ -14,7 +14,7 @@ from ruber.unreferenced import (
     unreferenced_score,
     zero_scorer_params,
 )
-from ruber.unreferenced.scorer import GruParams, _encode_batch, _run_rows
+from ruber.unreferenced.scorer import GruParams, _run_rows
 
 
 def _zero_gru(hidden=3, dim=4):
@@ -197,7 +197,8 @@ class TestInitScorerParams:
 
 
 class TestPaddedRows:
-    """Rows of unequal length encoded together, left-padded to the longest."""
+    """The frozen padded forward: rows of unequal length encoded together,
+    left-padded to the longest, against the one-row scorer."""
 
     def test_each_row_matches_its_one_row_encode(self):
         rng = np.random.default_rng(42)
@@ -205,7 +206,7 @@ class TestPaddedRows:
         params = random_scorer_params(4, 3, 5, rng)
         rows = [["t0", "t1", "t2", "t3", "t4", "t5"], ["t3"], ["t1", "t1", "t4"],
                 ["t5", "t0", "t2", "t2", "t1", "t3", "t4"]]
-        vecs = _encode_batch(rows, params.reply_encoder, vocab, matrix, max_len=6)
+        vecs = oracles.padded_encode(rows, params.reply_encoder, vocab, matrix, max_len=6)
         for row, vec in zip(rows, vecs):
             want = encode(row, params.reply_encoder, vocab, matrix, max_len=6)
             assert np.max(np.abs(vec - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -220,7 +221,7 @@ class TestPaddedRows:
         h0 = np.zeros((2, 3))
 
         def states(inputs, mask):
-            return [_run_rows(inputs[:t], direction, h0, mask[:t])[0][1]
+            return [oracles.padded_run_rows(inputs[:t], direction, h0, mask[:t])[1]
                     for t in range(1, len(inputs) + 1)]
 
         forward = states(xs, pad)
