@@ -224,6 +224,8 @@ def _read_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if "\x00" in raw:  # a path holding one fails only at open(), perhaps after training
+                raise ConfigError(f"{path}:{lineno}: line holds a NUL character")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

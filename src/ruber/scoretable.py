@@ -43,6 +43,8 @@ METRIC_COLUMNS = (
 # a human_mean cell may differ from its row's mean by half the 1e-6 precision
 # cells are written at; the 1e-12 covers the float rounding of both sides
 _MEAN_TOLERANCE = 5e-7 + 1e-12
+# report writes metric names into CSV cells and scatter file names
+_UNSAFE_IN_NAMES = frozenset(",/\x00")
 
 
 @dataclass
@@ -150,8 +152,9 @@ def read_score_table(path) -> ScoreTable:
     """Parse a file written by :func:`write_score_table`.
 
     The header must list ``human_1`` .. ``human_k``, ``human_mean`` and
-    then distinct metric names, in that order, and ``k`` must equal the
-    ``# annotators:`` comment where there is one.  Each row's
+    then distinct metric names, in that order, with no ``,``, ``/`` or NUL
+    in a name, and ``k`` must equal the ``# annotators:`` comment where
+    there is one.  Each row's
     ``human_mean`` must be within 5e-7 (plus float rounding) of the mean of
     its annotator scores.  Each row is parsed into numbers as it is read,
     and the first fault in file order raises :class:`ParseError` at its
@@ -234,7 +237,8 @@ def _annotator_count(header: list[str], path, lineno: int) -> int:
     if k and header[k] == "human_mean":
         seen: set[str] = set()
         for col, name in enumerate(header[k + 1:], start=k + 2):
-            if not name or name.startswith("human_") or name in seen:
+            if (not name or name.startswith("human_") or name in seen
+                    or not _UNSAFE_IN_NAMES.isdisjoint(name)):
                 break
             seen.add(name)
         else:

@@ -23,7 +23,7 @@ from .scorer import ScorerParams, init_scorer_params, unreferenced_score
 
 NEGATIVE_RETRY_CAP = 100
 HOLDOUT_FRACTION = 0.1
-_ADAM_BLOCK = 2 ** 14  # elements per block of an Adam update (128 KiB of float64)
+_ADAM_BLOCK = 2 ** 14  # elements per chunk of an Adam update (128 KiB of float64)
 
 
 def sample_negative(pairs, positive_index: int, rng: np.random.Generator) -> Utterance:
@@ -87,11 +87,12 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place.
 
-    Each tensor is updated in blocks of at most :data:`_ADAM_BLOCK`
-    elements, through two block-sized scratch arrays, so a step holds no
-    temporary the size of the embedding matrix.  Every block runs the
-    operations of the one-expression update in the same order, so every
-    float is the same to the bit.
+    Each tensor is walked in memory order by one buffered ``np.nditer``
+    over the tensor, its gradient and its two moments, in chunks of at
+    most :data:`_ADAM_BLOCK` elements.  Each chunk runs the operations of
+    the one-expression update in the same order through two flat scratch
+    arrays, so a step holds no temporary the size of the embedding matrix
+    and every float is the same to the bit.
     """
     pairs = [(arr, grad) for (_, arr), (_, grad)
              in zip(params.tensors(), grads.scorer.tensors())]
@@ -105,48 +106,27 @@ def adam_step(
     size = min(_ADAM_BLOCK, max(arr.size for arr, _ in pairs))
     scratch = np.empty(size), np.empty(size)
     for (arr, grad), m, v in zip(pairs, state.m, state.v):
-        for index in _blocks(arr.shape):
-            a, g, mb, vb = arr[index], grad[index], m[index], v[index]
-            # views of the scratch shaped like the block; for a 0-d block, out=
-            # keeps np.multiply and np.divide from returning a scalar
-            tmp = scratch[0][:a.size].reshape(a.shape)
-            step = scratch[1][:a.size].reshape(a.shape)
-            mb *= config.beta1
-            np.multiply(1.0 - config.beta1, g, out=tmp)
-            mb += tmp
-            vb *= config.beta2
-            np.multiply(1.0 - config.beta2, g, out=tmp)
-            tmp *= g
-            vb += tmp
-            # lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(vb, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += config.eps
-            np.divide(mb, c1, out=step)
-            step *= config.lr
-            step /= tmp
-            a -= step
-
-
-def _blocks(shape: tuple[int, ...]):
-    """Indices of views that tile an array of ``shape`` along its leading axes.
-
-    Each view holds at most :data:`_ADAM_BLOCK` elements: whole rows
-    where a row fits, otherwise the blocks of each row in turn.  A 0-d
-    shape is one block, indexed by ``...`` so that it stays a view.
-    """
-    if not shape:
-        yield ...
-        return
-    row = int(np.prod(shape[1:]))
-    if row > _ADAM_BLOCK:
-        for i in range(shape[0]):
-            for rest in _blocks(shape[1:]):
-                yield (i, *rest)
-        return
-    rows = _ADAM_BLOCK // max(row, 1)
-    for start in range(0, shape[0], rows):
-        yield (slice(start, start + rows),)
+        # leaving the context writes any buffered chunk back to the tensor
+        with np.nditer([arr, grad, m, v], ["external_loop", "buffered", "zerosize_ok"],
+                       [["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
+                       buffersize=_ADAM_BLOCK) as chunks:
+            for a, g, mb, vb in chunks:
+                tmp, step = scratch[0][:a.size], scratch[1][:a.size]
+                mb *= config.beta1
+                np.multiply(1.0 - config.beta1, g, out=tmp)
+                mb += tmp
+                vb *= config.beta2
+                np.multiply(1.0 - config.beta2, g, out=tmp)
+                tmp *= g
+                vb += tmp
+                # lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(vb, c2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += config.eps
+                np.divide(mb, c1, out=step)
+                step *= config.lr
+                step /= tmp
+                a -= step
 
 
 def train(
@@ -162,7 +142,8 @@ def train(
     ``config.epochs == 0`` the freshly initialized parameters come back
     untouched with an empty log.
 
-    When ``config.fine_tune_embeddings`` is set, ``matrix`` is updated
+    When ``config.fine_tune_embeddings`` is set, ``matrix`` must be a
+    writeable float64 ndarray (else ``ValueError``), and it is updated
     in place alongside the scorer parameters.  An epoch whose updates
     leave any of these tensors non-finite, or a scorer tensor beyond the
     float32 range of the checkpoint, raises
@@ -171,6 +152,9 @@ def train(
     :class:`~ruber.errors.ConfigError`.
     """
     config.validate()
+    if config.fine_tune_embeddings and not (
+            isinstance(matrix, np.ndarray) and matrix.dtype == float and matrix.flags.writeable):
+        raise ValueError("fine-tuning updates matrix in place: pass a writeable float64 ndarray")
     matrix = np.asarray(matrix, dtype=float)
     rng = np.random.default_rng(config.seed)
     with allocating(f"hidden={config.hidden} mlp_hidden={config.mlp_hidden}"):

@@ -465,6 +465,24 @@ class TestConfigFile:
         assert main(["train-embeddings", "--config", cfg,
                      "--corpus", "x", "--out", "y"]) == 2
 
+    @pytest.mark.parametrize("key", ["corpus", "out"])
+    def test_nul_in_a_value_exit_2_before_any_input_is_read(self, tmp_path, capsys, key):
+        """A NUL in a path ended in a traceback, for ``out`` after training."""
+        corpus, _, _, _ = _write_training_corpus(tmp_path, n=40)
+        paths = {"corpus": corpus, "out": str(tmp_path / "e.txt")}
+        paths[key] = paths[key].replace(".", "\x00.")
+        cfg = write_lines(tmp_path / "opts.cfg", [
+            "dim = 4", "epochs = 1", "min_count = 1",
+            f"corpus = {paths['corpus']}", f"out = {paths['out']}",
+        ])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["train-embeddings", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before the config echo, so before any input
+        at = 4 if key == "corpus" else 5
+        assert err.splitlines() == [f"error: {cfg}:{at}: line holds a NUL character"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
 
 class TestInputsEndInExitCodes:
     """Inputs that once ended in a traceback map onto a README exit code."""
@@ -725,6 +743,25 @@ class TestInputsEndInExitCodes:
         [line] = capsys.readouterr().err.splitlines()
         assert line == (f"error: {table}:{at + 1}: header must be human_1 .. human_k, "
                         f"human_mean, then distinct metric names; column {k + 1} is 'human_{k}'")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
+
+    @pytest.mark.parametrize("name", ["a,b", "a/b", "a\x00b"], ids=["comma", "slash", "nul"])
+    def test_metric_name_unfit_for_the_outputs_is_exit_3(self, pipeline, tmp_path, capsys,
+                                                         name):
+        """Such a name split the quantile CSV's rows or broke a scatter file's name."""
+        lines = open(pipeline["scores"]).read().splitlines()
+        at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        names = lines[at].split("\t")
+        col = names.index("rouge_l") + 1
+        names[col - 1] = name
+        lines[at] = "\t".join(names)
+        table = write_lines(tmp_path / "scores.tsv", lines)
+        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json"),
+                     "--quantile-csv", str(tmp_path / "q.csv"),
+                     "--scatter-dir", str(tmp_path / "scatter")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (f"error: {table}:{at + 1}: header must be human_1 .. human_k, "
+                        f"human_mean, then distinct metric names; column {col} is {name!r}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
     @pytest.mark.parametrize("edit, message", [

@@ -24,6 +24,11 @@ from ruber.unreferenced import (
 from ruber.unreferenced.gradients import Gradients
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def _pairs(replies):
     return [QueryReplyPair([f"q{i}"], list(r)) for i, r in enumerate(replies)]
 
@@ -153,21 +158,27 @@ class TestAdamStep:
                 assert arr.tobytes() == want.tobytes(), name
         return expected
 
-    def test_same_bytes_as_the_one_expression_update(self):
-        """In-place temporaries change no float, the 0-d ``mlp_out_b`` included."""
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_same_bytes_as_the_one_expression_update(self, layout):
+        """In-place temporaries change no float, the 0-d ``mlp_out_b`` included.
+
+        A Fortran-ordered matrix is walked in another memory order than
+        its C-ordered gradient and moments.
+        """
         rng = np.random.default_rng(62)
         config = TrainConfig(hidden=2, mlp_hidden=4, lr=0.01, fine_tune_embeddings=True)
-        expected = self._assert_one_expression_bytes((3, 2, 4), rng.normal(0, 1, (5, 3)),
-                                                     config, rng)
+        matrix = layout(rng.normal(0, 1, (5, 3)))
+        expected = self._assert_one_expression_bytes((3, 2, 4), matrix, config, rng)
         assert expected[-2].ndim == 0  # mlp_out_b
+        assert matrix.flags.f_contiguous == (layout is np.asfortranarray)
 
     @pytest.mark.parametrize("block", [training._ADAM_BLOCK, 7])
     def test_same_bytes_in_blocks_of_a_strided_view(self, monkeypatch, block):
-        """Several blocks and a partial last one, written through a view to its base.
+        """Several chunks and a partial last one, written through a view to its base.
 
-        At the real block size the (1500, 40) matrix is three blocks of
-        409 rows and one of 273; at 7 elements every 40-element row, and
-        every scorer tensor but ``mlp_out_b``, spans several blocks.
+        At the real chunk size the 60,000-element (1500, 40) matrix is
+        three chunks of 2^14 elements and one of 10,848; at 7 elements
+        every scorer tensor but ``mlp_out_b`` spans several chunks too.
         """
         monkeypatch.setattr(training, "_ADAM_BLOCK", block)
         rng = np.random.default_rng(63)
@@ -292,6 +303,19 @@ class TestTrain:
                              seed=4, fine_tune_embeddings=True)
         train(dataset, vocab, matrix, config)
         assert not np.array_equal(matrix, before)
+
+    @pytest.mark.parametrize("convert", [
+        lambda m: m.astype(np.float32), np.ndarray.tolist, _read_only,
+    ], ids=["float32", "list", "read-only"])
+    def test_fine_tuning_refuses_a_matrix_it_cannot_update_in_place(self, convert):
+        """``np.asarray`` copied a float32 matrix or a list, so the caller's stayed unchanged."""
+        rng = np.random.default_rng(79)
+        dataset, vocab, matrix = self._tiny(rng)
+        matrix = convert(matrix)
+        config = TrainConfig(hidden=4, mlp_hidden=6, epochs=1, batch_size=8,
+                             seed=4, fine_tune_embeddings=True)
+        with pytest.raises(ValueError, match="writeable float64 ndarray"):
+            train(dataset, vocab, matrix, config)
 
     def test_without_fine_tuning_matrix_untouched(self):
         rng = np.random.default_rng(76)
