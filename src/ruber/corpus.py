@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from functools import cache
+from dataclasses import dataclass, field
 from typing import Iterator, Union
 
 from .errors import ParseError, ValidationError
@@ -59,11 +58,14 @@ class AnnotatedPair:
 
 Pair = Union[QueryReplyPair, AnnotatedPair]
 
-# Per pair type: the error for a tsv row with too few fields, and the noun
-# for a file without one usable row.
+# Per pair type: its utterance fields in declaration order (also the jsonl
+# keys and the leading tsv fields), the error for a tsv row with too few
+# fields, and the noun for a file without one usable row.
 _ROW_TEXT = {
-    QueryReplyPair: ("expected at least 2 tab-separated fields, found {}", "query-reply"),
+    QueryReplyPair: (("query", "reply"),
+                     "expected at least 2 tab-separated fields, found {}", "query-reply"),
     AnnotatedPair: (
+        ("query", "groundtruth", "candidate"),
         "expected query, groundtruth, candidate and at least "
         "one score column, found {} field(s)",
         "annotated",
@@ -81,7 +83,6 @@ class Dataset:
 
     pairs: list
     source: str
-    format: str
     skipped: int = 0
 
     def __len__(self) -> int:
@@ -125,9 +126,8 @@ def _load(path, format: str, pair_type) -> Dataset:
     """
     if format not in FORMATS:
         raise ValueError(f"unknown corpus format {format!r}, expected one of {FORMATS}")
-    keys = _utterance_fields(pair_type)
+    keys, short_row, noun = _ROW_TEXT[pair_type]
     annotated = pair_type is AnnotatedPair
-    short_row, noun = _ROW_TEXT[pair_type]
     pairs: list[Pair] = []
     skipped = 0
     scores: list[int] = []  # stays empty for query-reply pairs
@@ -165,7 +165,7 @@ def _load(path, format: str, pair_type) -> Dataset:
             pairs.append(pair_type(*utterances, scores) if annotated else pair_type(*utterances))
     if not pairs:
         raise ValidationError(f"{path}: no usable {noun} pairs")
-    return Dataset(pairs, source=str(path), format=format, skipped=skipped)
+    return Dataset(pairs, source=str(path), skipped=skipped)
 
 
 def build_vocab(dataset: Dataset, min_count: int = 1) -> Vocabulary:
@@ -192,13 +192,7 @@ def build_vocab(dataset: Dataset, min_count: int = 1) -> Vocabulary:
 
 def utterances_of(pair: Pair) -> tuple[Utterance, ...]:
     """All utterance fields of a pair, in declaration order."""
-    return tuple(getattr(pair, name) for name in _utterance_fields(type(pair)))
-
-
-@cache
-def _utterance_fields(pair_type) -> tuple[str, ...]:
-    """Names of the ``Utterance`` fields of a pair type, in declaration order."""
-    return tuple(f.name for f in fields(pair_type) if f.type == "Utterance")
+    return tuple(getattr(pair, name) for name in _ROW_TEXT[type(pair)][0])
 
 
 def _parse_json_object(path, lineno: int, line: str) -> dict:

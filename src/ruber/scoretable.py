@@ -45,6 +45,9 @@ METRIC_COLUMNS = (
 _MEAN_TOLERANCE = 5e-7 + 1e-12
 # report writes metric names into CSV cells and scatter file names
 _UNSAFE_IN_NAMES = frozenset(",/\x00")
+# a scatter file's temporary name ".scatter_<name>.csv.<8 hex>.tmp" must fit
+# the 255 bytes a file name may hold
+_MAX_NAME_BYTES = 255 - len(".scatter_.csv.01234567.tmp")
 
 
 @dataclass
@@ -238,7 +241,8 @@ def _annotator_count(header: list[str], path, lineno: int) -> int:
         seen: set[str] = set()
         for col, name in enumerate(header[k + 1:], start=k + 2):
             if (not name or name.startswith("human_") or name in seen
-                    or not _UNSAFE_IN_NAMES.isdisjoint(name)):
+                    or not _UNSAFE_IN_NAMES.isdisjoint(name)
+                    or len(name.encode("utf-8")) > _MAX_NAME_BYTES):
                 break
             seen.add(name)
         else:

@@ -61,7 +61,7 @@ def separable_corpus(rng, n_pairs=500, n_topics=20, n_fillers=10, dim=16):
         query = [fillers[int(rng.integers(n_fillers))] for _ in range(n_fill)]
         query.insert(int(rng.integers(n_fill + 1)), topic)
         pairs.append(QueryReplyPair(query, [topic]))
-    dataset = Dataset(tuple(pairs), source="synthetic-separable", format="tsv")
+    dataset = Dataset(tuple(pairs), source="synthetic-separable")
     return dataset, vocab, matrix
 
 

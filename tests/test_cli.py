@@ -1,6 +1,8 @@
 """Command-line workflow: subcommands, config files, exit codes."""
 
+import contextlib
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -32,6 +34,21 @@ def _write_training_corpus(tmp_path, n=80, seed=130):
     emb = str(tmp_path / "emb.txt")
     save_text_embeddings(vocab, matrix, emb)
     return corpus, emb, vocab, matrix
+
+
+def _refused(argv, code, directory, *kept):
+    """Run ``main(argv)`` and check a clean refusal: exit ``code``, one
+    ``error:`` line on stderr, and nothing in ``directory`` but ``kept``.
+
+    Returns the error line; stdout stays with ``capsys``.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == code
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert sorted(p.name for p in directory.iterdir()) == sorted(kept)
+    return lines[0]
 
 
 def _write_annotated(tmp_path, n=12, seed=131):
@@ -128,18 +145,14 @@ class TestTrainEmbeddings:
         assert main(argv) == 0
         assert received == chosen
 
-    def test_missing_corpus_is_exit_3(self, tmp_path, capsys):
-        assert main([
-            "train-embeddings", "--corpus", str(tmp_path / "ghost.tsv"),
-            "--out", str(tmp_path / "x.txt"),
-        ]) == 3
+    def test_missing_corpus_is_exit_3(self, tmp_path):
+        _refused(["train-embeddings", "--corpus", str(tmp_path / "ghost.tsv"),
+                  "--out", str(tmp_path / "x.txt")], 3, tmp_path)
 
-    def test_zero_dim_is_exit_2(self, tmp_path, capsys):
+    def test_zero_dim_is_exit_2(self, tmp_path):
         corpus, _, _, _ = _write_training_corpus(tmp_path, n=40)
-        assert main([
-            "train-embeddings", "--corpus", corpus,
-            "--out", str(tmp_path / "x.txt"), "--dim", "0",
-        ]) == 2
+        _refused(["train-embeddings", "--corpus", corpus, "--out", str(tmp_path / "x.txt"),
+                  "--dim", "0"], 2, tmp_path, "emb.txt", "train.tsv")
 
 
 class TestTrainScorer:
@@ -187,20 +200,14 @@ class TestTrainScorer:
         assert main(argv) == 0
         assert load_checkpoint(ckpt).config == TrainConfig(**chosen)
 
-    def test_corrupt_embeddings_exit_3(self, pipeline, tmp_path, capsys):
+    def test_corrupt_embeddings_exit_3(self, pipeline, tmp_path):
         bad = write_lines(tmp_path / "bad.txt", ["not a header"])
-        assert main([
-            "train-scorer", "--corpus", pipeline["corpus"],
-            "--embeddings", bad, "--out", str(tmp_path / "x.ckpt"),
-        ]) == 3
-        assert "error:" in capsys.readouterr().err
+        _refused(["train-scorer", "--corpus", pipeline["corpus"], "--embeddings", bad,
+                  "--out", str(tmp_path / "x.ckpt")], 3, tmp_path, "bad.txt")
 
-    def test_bad_margin_exit_2(self, pipeline, tmp_path, capsys):
-        assert main([
-            "train-scorer", "--corpus", pipeline["corpus"],
-            "--embeddings", pipeline["emb"], "--out", str(tmp_path / "x.ckpt"),
-            "--margin", "-1",
-        ]) == 2
+    def test_bad_margin_exit_2(self, pipeline, tmp_path):
+        _refused(["train-scorer", "--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
+                  "--out", str(tmp_path / "x.ckpt"), "--margin", "-1"], 2, tmp_path)
 
     def test_fine_tune_writes_updated_embeddings(self, pipeline, tmp_path, capsys):
         ckpt = str(tmp_path / "ft.ckpt")
@@ -227,12 +234,9 @@ class TestTrainScorer:
         ]
         if fine_tune:
             argv.append("--fine-tune-embeddings")
-        assert main(argv) == 4
-        out, err = capsys.readouterr()
-        assert "epoch 1" in err and "non-finite" in err
-        assert len(err.splitlines()) == 1
-        assert "holdout_acc" not in out
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "train.tsv"]
+        line = _refused(argv, 4, tmp_path, "emb.txt", "train.tsv")
+        assert "epoch 1" in line and "non-finite" in line
+        assert "holdout_acc" not in capsys.readouterr().out
 
 
 class TestScore:
@@ -263,7 +267,7 @@ class TestScore:
         assert "ruber_geometric" in table.metrics
         assert "ruber_min" not in table.metrics
 
-    def test_vocab_mismatch_exit_5_and_override(self, pipeline, tmp_path, capsys):
+    def test_vocab_mismatch_exit_5_and_override(self, pipeline, tmp_path):
         other_emb = str(tmp_path / "other.txt")
         rng = np.random.default_rng(7)
         from ruber.vocabulary import Vocabulary
@@ -273,41 +277,35 @@ class TestScore:
             "score", "--data", pipeline["annotated"], "--embeddings", other_emb,
             "--checkpoint", pipeline["ckpt"], "--out", str(tmp_path / "x.tsv"),
         ]
-        assert main(args) == 5
+        _refused(args, 5, tmp_path, "other.txt")
         assert main(args + ["--allow-vocab-mismatch"]) == 0
 
-    def test_dim_mismatch_exit_5(self, pipeline, tmp_path, capsys):
+    def test_dim_mismatch_exit_5(self, pipeline, tmp_path):
         emb16 = str(tmp_path / "wide.txt")
         vocab, matrix = load_text_embeddings(pipeline["emb"])
         wide = np.hstack([matrix, matrix])
         save_text_embeddings(vocab, wide, emb16)
-        assert main([
-            "score", "--data", pipeline["annotated"], "--embeddings", emb16,
-            "--checkpoint", pipeline["ckpt"], "--out", str(tmp_path / "x.tsv"),
-        ]) == 5
+        line = _refused(["score", "--data", pipeline["annotated"], "--embeddings", emb16,
+                         "--checkpoint", pipeline["ckpt"], "--out", str(tmp_path / "x.tsv")],
+                        5, tmp_path, "wide.txt")
+        assert line == "error: checkpoint expects 8-dim embeddings, file provides 16-dim"
 
-    def test_corrupt_checkpoint_exit_3(self, pipeline, tmp_path, capsys):
+    def test_corrupt_checkpoint_exit_3(self, pipeline, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"RUBX" + b"\x00" * 20)
-        assert main([
-            "score", "--data", pipeline["annotated"],
-            "--embeddings", pipeline["emb"], "--checkpoint", str(bad),
-            "--out", str(tmp_path / "x.tsv"),
-        ]) == 3
+        _refused(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                  "--checkpoint", str(bad), "--out", str(tmp_path / "x.tsv")],
+                 3, tmp_path, "bad.ckpt")
 
     @pytest.mark.parametrize("changes", [dict(hidden=-1), dict(hidden=10**6),
                                          dict(embed_dim="8")])
-    def test_bad_checkpoint_header_exit_3(self, pipeline, tmp_path, capsys, changes):
+    def test_bad_checkpoint_header_exit_3(self, pipeline, tmp_path, changes):
         bad = tmp_path / "header.ckpt"
         with open(pipeline["ckpt"], "rb") as fh:
             bad.write_bytes(rewrite_checkpoint_header(fh.read(), **changes))
-        assert main([
-            "score", "--data", pipeline["annotated"],
-            "--embeddings", pipeline["emb"], "--checkpoint", str(bad),
-            "--out", str(tmp_path / "x.tsv"),
-        ]) == 3
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "x.tsv").exists()
+        _refused(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                  "--checkpoint", str(bad), "--out", str(tmp_path / "x.tsv")],
+                 3, tmp_path, "header.ckpt")
 
     def test_max_len_defaults_to_checkpoint(self, pipeline, tmp_path, capsys):
         ckpt = str(tmp_path / "short.ckpt")
@@ -336,29 +334,22 @@ class TestScore:
         assert default == short
         assert default != full
 
-    def test_bad_max_len_exit_2(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "x.tsv"
-        assert main([
-            "score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
-            "--checkpoint", pipeline["ckpt"], "--out", str(out), "--max-len", "0",
-        ]) == 2
-        assert "max_len" in capsys.readouterr().err
-        assert not out.exists()
+    def test_bad_max_len_exit_2(self, pipeline, tmp_path):
+        line = _refused(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                         "--checkpoint", pipeline["ckpt"], "--out", str(tmp_path / "x.tsv"),
+                         "--max-len", "0"], 2, tmp_path)
+        assert line == "error: max_len must be >= 1, got 0"
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_scores_exit_4(self, pipeline, tmp_path, capsys):
+    def test_non_finite_scores_exit_4(self, pipeline, tmp_path):
         """Huge but finite vectors overflow the cosine into NaN."""
         vocab, matrix = load_text_embeddings(pipeline["emb"])
         huge = str(tmp_path / "huge.txt")
         save_text_embeddings(vocab, np.full_like(matrix, 1e200), huge)
-        out = tmp_path / "x.tsv"
-        assert main([
-            "score", "--data", pipeline["annotated"], "--embeddings", huge,
-            "--checkpoint", pipeline["ckpt"], "--out", str(out),
-        ]) == 4
-        err = capsys.readouterr().err
-        assert "ref_score" in err and "row 1 " in err
-        assert not out.exists()
+        line = _refused(["score", "--data", pipeline["annotated"], "--embeddings", huge,
+                         "--checkpoint", pipeline["ckpt"], "--out", str(tmp_path / "x.tsv")],
+                        4, tmp_path, "huge.txt")
+        assert "ref_score" in line and "row 1 " in line
 
 
 class TestReport:
@@ -408,9 +399,9 @@ class TestReport:
             f"scatter_dir=None scores={pipeline['scores']} seed=0 text_out=None"
         )
 
-    def test_missing_scores_exit_3(self, tmp_path, capsys):
-        assert main(["report", "--scores", str(tmp_path / "ghost.tsv"),
-                     "--out", str(tmp_path / "x.json")]) == 3
+    def test_missing_scores_exit_3(self, tmp_path):
+        _refused(["report", "--scores", str(tmp_path / "ghost.tsv"),
+                  "--out", str(tmp_path / "x.json")], 3, tmp_path)
 
 
 class TestConfigFile:
@@ -431,20 +422,20 @@ class TestConfigFile:
         echo = capsys.readouterr().out
         assert "dim=6" in echo
 
-    def test_unknown_key_exit_2(self, tmp_path, capsys):
+    def test_unknown_key_exit_2(self, tmp_path):
         cfg = write_lines(tmp_path / "opts.cfg", ["wibble = 3"])
-        assert main(["train-embeddings", "--config", cfg,
-                     "--corpus", "x", "--out", "y"]) == 2
-        assert "wibble" in capsys.readouterr().err
+        line = _refused(["train-embeddings", "--config", cfg, "--corpus", "x", "--out", "y"],
+                        2, tmp_path, "opts.cfg")
+        assert "wibble" in line
 
-    def test_bad_value_type_exit_2(self, tmp_path, capsys):
+    def test_bad_value_type_exit_2(self, tmp_path):
         cfg = write_lines(tmp_path / "opts.cfg", ["epochs = soon"])
-        assert main(["train-embeddings", "--config", cfg,
-                     "--corpus", "x", "--out", "y"]) == 2
+        _refused(["train-embeddings", "--config", cfg, "--corpus", "x", "--out", "y"],
+                 2, tmp_path, "opts.cfg")
 
-    def test_missing_required_option_exit_2(self, tmp_path, capsys):
-        assert main(["train-embeddings", "--out", "y"]) == 2
-        assert "--corpus" in capsys.readouterr().err
+    def test_missing_required_option_exit_2(self, tmp_path):
+        line = _refused(["train-embeddings", "--out", str(tmp_path / "y")], 2, tmp_path)
+        assert "--corpus" in line
 
     def test_boolean_values_in_file(self, tmp_path, capsys):
         corpus, emb, _, _ = _write_training_corpus(tmp_path, n=40)
@@ -460,10 +451,10 @@ class TestConfigFile:
         assert main(["train-scorer", "--config", cfg, "--out", ckpt]) == 0
         assert load_checkpoint(ckpt).config.fine_tune_embeddings is True
 
-    def test_malformed_line_exit_2(self, tmp_path, capsys):
+    def test_malformed_line_exit_2(self, tmp_path):
         cfg = write_lines(tmp_path / "opts.cfg", ["just some words"])
-        assert main(["train-embeddings", "--config", cfg,
-                     "--corpus", "x", "--out", "y"]) == 2
+        _refused(["train-embeddings", "--config", cfg, "--corpus", "x", "--out", "y"],
+                 2, tmp_path, "opts.cfg")
 
     @pytest.mark.parametrize("key", ["corpus", "out"])
     def test_nul_in_a_value_exit_2_before_any_input_is_read(self, tmp_path, capsys, key):
@@ -475,37 +466,58 @@ class TestConfigFile:
             "dim = 4", "epochs = 1", "min_count = 1",
             f"corpus = {paths['corpus']}", f"out = {paths['out']}",
         ])
-        before = sorted(p.name for p in tmp_path.iterdir())
-        assert main(["train-embeddings", "--config", cfg]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""  # refused before the config echo, so before any input
+        line = _refused(["train-embeddings", "--config", cfg], 2, tmp_path,
+                        "emb.txt", "opts.cfg", "train.tsv")
+        assert capsys.readouterr().out == ""  # refused before the config echo and any input
         at = 4 if key == "corpus" else 5
-        assert err.splitlines() == [f"error: {cfg}:{at}: line holds a NUL character"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert line == f"error: {cfg}:{at}: line holds a NUL character"
+
+
+def _runnable_argv(command, pipeline, tmp_path):
+    """``command`` with options it would succeed under, on the pipeline's files."""
+    return [command, *{
+        "train-embeddings": ["--corpus", pipeline["corpus"], "--out", str(tmp_path / "v.txt"),
+                             "--min-count", "1"],
+        "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
+                         "--out", str(tmp_path / "s.ckpt"), "--epochs", "1",
+                         "--hidden", "2", "--mlp-hidden", "2"],
+        "report": ["--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
+                   "--quantile-csv", str(tmp_path / "q.csv"),
+                   "--scatter-dir", str(tmp_path / "scatter")],
+    }[command]]
+
+
+def _rename_metric(pipeline, tmp_path, name):
+    """The pipeline's score table with ``rouge_l`` renamed; returns its path,
+    header line and the renamed column (both 1-based)."""
+    lines = open(pipeline["scores"]).read().splitlines()
+    at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    names = lines[at].split("\t")
+    col = names.index("rouge_l") + 1
+    names[col - 1] = name
+    lines[at] = "\t".join(names)
+    return write_lines(tmp_path / "scores.tsv", lines), at + 1, col
 
 
 class TestInputsEndInExitCodes:
     """Inputs that once ended in a traceback map onto a README exit code."""
 
-    def test_oversized_embedding_header_is_exit_3(self, pipeline, tmp_path, capsys):
+    def test_oversized_embedding_header_is_exit_3(self, pipeline, tmp_path):
         emb = write_lines(tmp_path / "huge.txt", ["1 1000000000000", "a 0.5"])
-        assert main([
-            "train-scorer", "--corpus", pipeline["corpus"], "--embeddings", emb,
-            "--out", str(tmp_path / "x.ckpt"), "--epochs", "0",
-        ]) == 3
-        assert "expected a token and 1000000000000 values" in capsys.readouterr().err
+        line = _refused(["train-scorer", "--corpus", pipeline["corpus"], "--embeddings", emb,
+                         "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"],
+                        3, tmp_path, "huge.txt")
+        assert "expected a token and 1000000000000 values" in line
 
-    def test_repeated_embedding_row_is_exit_3(self, pipeline, tmp_path, capsys):
+    def test_repeated_embedding_row_is_exit_3(self, pipeline, tmp_path):
         emb = write_lines(tmp_path / "dup.txt", ["3 2", "a 1 2", "a 3 4", "b 1 1"])
-        out = tmp_path / "x.ckpt"
-        assert main(["train-scorer", "--corpus", pipeline["corpus"], "--embeddings", emb,
-                     "--out", str(out), "--epochs", "0"]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["train-scorer", "--corpus", pipeline["corpus"], "--embeddings", emb,
+                         "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"],
+                        3, tmp_path, "dup.txt")
         assert line == f"error: {emb}:3: token 'a' repeats line 2"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["dup.txt"]
 
     @pytest.mark.parametrize("which", ["corpus", "embeddings", "config", "scores"])
-    def test_non_utf8_input_is_exit_3(self, pipeline, tmp_path, capsys, which):
+    def test_non_utf8_input_is_exit_3(self, pipeline, tmp_path, which):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes("caf\u00e9\tna\u00efve\n".encode("latin-1"))
         inputs = {"--corpus": pipeline["corpus"], "--embeddings": pipeline["emb"],
@@ -514,22 +526,13 @@ class TestInputsEndInExitCodes:
         argv += [item for flag_and_path in inputs.items() for item in flag_and_path]
         if which == "scores":
             argv = ["report", "--scores", str(bad), "--out", str(tmp_path / "r.json")]
-        assert main(argv) == 3
-        assert "error:" in capsys.readouterr().err
+        _refused(argv, 3, tmp_path, "latin1.txt")
 
     @pytest.mark.parametrize("command", ["train-embeddings", "train-scorer", "report"])
-    def test_negative_seed_is_exit_2(self, pipeline, tmp_path, capsys, command):
-        argv = {
-            "train-embeddings": ["--corpus", pipeline["corpus"], "--out",
-                                 str(tmp_path / "v.txt"), "--min-count", "1"],
-            "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
-                             "--out", str(tmp_path / "s.ckpt"), "--epochs", "0"],
-            "report": ["--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
-                       "--scatter-dir", str(tmp_path / "scatter")],
-        }[command]
-        assert main([command, *argv, "--seed", "-1"]) == 2
-        assert "seed must be >= 0" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
+    def test_negative_seed_is_exit_2(self, pipeline, tmp_path, command):
+        line = _refused([*_runnable_argv(command, pipeline, tmp_path), "--seed", "-1"],
+                        2, tmp_path)
+        assert "seed must be >= 0" in line
 
     @pytest.mark.parametrize("command, option, value", [
         ("train-scorer", "--margin", "nan"), ("train-scorer", "--lr", "nan"),
@@ -537,35 +540,28 @@ class TestInputsEndInExitCodes:
         ("report", "--jitter-sigma", "inf"), ("train-scorer", "--lr", "inf"),
         ("train-scorer", "--margin", "inf"), ("train-embeddings", "--lr", "inf"),
     ])
-    def test_undefined_option_value_is_exit_2(self, pipeline, tmp_path, capsys, command,
-                                              option, value):
-        argv = {
-            "train-embeddings": ["--corpus", pipeline["corpus"], "--out",
-                                 str(tmp_path / "v.txt"), "--min-count", "1"],
-            "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
-                             "--out", str(tmp_path / "s.ckpt"), "--epochs", "1",
-                             "--hidden", "2", "--mlp-hidden", "2"],
-            "report": ["--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
-                       "--scatter-dir", str(tmp_path / "scatter")],
-        }[command]
-        assert main([command, *argv, option, value]) == 2
-        name = option[2:].replace("-", "_")
-        assert f"{name} must be" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
+    def test_undefined_option_value_is_exit_2(self, pipeline, tmp_path, command, option, value):
+        line = _refused([*_runnable_argv(command, pipeline, tmp_path), option, value],
+                        2, tmp_path)
+        assert f"{option[2:].replace('-', '_')} must be" in line
 
     @pytest.mark.parametrize("command, option, value", [
         ("train-scorer", "--lr", "inf"), ("train-scorer", "--margin", "inf"),
         ("train-scorer", "--lr", "nan"), ("train-embeddings", "--lr", "inf"),
-        ("train-embeddings", "--lr", "nan"),
+        ("train-embeddings", "--lr", "nan"), ("report", "--bins", "0"),
+        ("report", "--jitter-sigma", "nan"), ("report", "--seed", "-1"),
     ])
-    def test_undefined_option_value_is_refused_before_reading(self, tmp_path, capsys,
+    def test_undefined_option_value_is_refused_before_reading(self, tmp_path,
                                                               command, option, value):
         missing = str(tmp_path / "missing.tsv")  # reading it would be exit 3
-        argv = ["--corpus", missing, "--out", str(tmp_path / "out")]
-        if command == "train-scorer":
-            argv += ["--embeddings", missing]
-        assert main([command, *argv, option, value]) == 2
-        assert f"{option[2:]} must be positive and finite" in capsys.readouterr().err
+        inputs = {"train-embeddings": ["--corpus", missing],
+                  "train-scorer": ["--corpus", missing, "--embeddings", missing],
+                  "report": ["--scores", missing]}[command]
+        line = _refused([command, *inputs, "--out", str(tmp_path / "out"), option, value],
+                        2, tmp_path)
+        rule = {"--bins": ">= 1", "--jitter-sigma": "finite and >= 0",
+                "--seed": ">= 0"}.get(option, "positive and finite")
+        assert line == f"error: {option[2:].replace('-', '_')} must be {rule}, got {value}"
 
     @pytest.mark.parametrize("command, option, value", [
         ("train-embeddings", "--dim", "1000000000000"),
@@ -575,51 +571,32 @@ class TestInputsEndInExitCodes:
         ("train-scorer", "--mlp-hidden", str(10**14)),
         ("train-scorer", "--mlp-hidden", str(10**18)),
     ])
-    def test_oversized_option_is_exit_2(self, pipeline, tmp_path, capsys, command, option,
-                                        value):
+    def test_oversized_option_is_exit_2(self, pipeline, tmp_path, command, option, value):
         """Sizes numpy refuses at once: each is past the address space a process can map."""
-        argv = {
-            "train-embeddings": ["--corpus", pipeline["corpus"], "--out",
-                                 str(tmp_path / "v.txt"), "--min-count", "1"],
-            "train-scorer": ["--corpus", pipeline["corpus"], "--embeddings", pipeline["emb"],
-                             "--out", str(tmp_path / "s.ckpt"), "--epochs", "1",
-                             "--hidden", "2", "--mlp-hidden", "2"],
-        }[command]
-        assert main([command, *argv, option, value]) == 2
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: ") and "too large to allocate" in line
+        line = _refused([*_runnable_argv(command, pipeline, tmp_path), option, value],
+                        2, tmp_path)
+        assert "too large to allocate" in line
         assert f"{option[2:].replace('-', '_')}={value}" in line
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option, value", [
         ("--bins", "0"), ("--bins", "-1"), ("--jitter-sigma", "-0.5"),
     ])
-    def test_report_option_is_checked_before_writing(self, pipeline, tmp_path, capsys,
-                                                     option, value):
-        assert main([
-            "report", "--scores", pipeline["scores"], "--out", str(tmp_path / "r.json"),
-            "--quantile-csv", str(tmp_path / "q.csv"),
-            "--scatter-dir", str(tmp_path / "scatter"), option, value,
-        ]) == 2
-        name = option[2:].replace("-", "_")
-        assert f"error: {name} must be" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
+    def test_report_option_is_checked_before_writing(self, pipeline, tmp_path, option, value):
+        line = _refused([*_runnable_argv("report", pipeline, tmp_path), option, value],
+                        2, tmp_path)
+        assert line.startswith(f"error: {option[2:].replace('-', '_')} must be")
 
-    def test_non_finite_skip_gram_vectors_are_exit_4(self, pipeline, tmp_path, capsys):
-        out = tmp_path / "v.txt"
-        assert main(["train-embeddings", "--corpus", pipeline["corpus"], "--out", str(out),
-                     "--dim", "4", "--epochs", "1", "--min-count", "1", "--lr", "1e308"]) == 4
-        [line] = capsys.readouterr().err.splitlines()
+    def test_non_finite_skip_gram_vectors_are_exit_4(self, pipeline, tmp_path):
+        line = _refused(["train-embeddings", "--corpus", pipeline["corpus"],
+                         "--out", str(tmp_path / "v.txt"), "--dim", "4", "--epochs", "1",
+                         "--min-count", "1", "--lr", "1e308"], 4, tmp_path)
         assert line == "error: skip-gram training produced non-finite vectors"
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
-    def test_window_past_int64_is_exit_2(self, tmp_path, capsys):
+    def test_window_past_int64_is_exit_2(self, tmp_path):
         missing = str(tmp_path / "missing.tsv")  # reading it would be exit 3
-        assert main(["train-embeddings", "--corpus", missing, "--out", str(tmp_path / "v.txt"),
-                     "--window", str(2**63)]) == 2
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["train-embeddings", "--corpus", missing,
+                         "--out", str(tmp_path / "v.txt"), "--window", str(2**63)], 2, tmp_path)
         assert line == f"error: window must be < 2**63, got {2**63}"
-        assert sorted(p.name for p in tmp_path.iterdir()) == []
 
     def test_largest_window_still_trains(self, pipeline, tmp_path, capsys):
         out = tmp_path / "v.txt"
@@ -628,16 +605,14 @@ class TestInputsEndInExitCodes:
                      "--window", str(2**63 - 1)]) == 0
         assert out.exists()
 
-    def test_jsonl_row_without_scores_is_exit_3(self, pipeline, tmp_path, capsys):
+    def test_jsonl_row_without_scores_is_exit_3(self, pipeline, tmp_path):
         row = {"query": "topic1 flr2", "groundtruth": "topic1", "candidate": "flr3",
                "scores": []}
         data = write_lines(tmp_path / "ann.jsonl", [json.dumps(row)])
-        out = tmp_path / "scores.tsv"
-        assert main(["score", "--data", data, "--format", "jsonl", "--embeddings",
-                     pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["score", "--data", data, "--format", "jsonl", "--embeddings",
+                         pipeline["emb"], "--checkpoint", pipeline["ckpt"],
+                         "--out", str(tmp_path / "scores.tsv")], 3, tmp_path, "ann.jsonl")
         assert line == f"error: {data}:1: key 'scores' must hold at least one score"
-        assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [
         ("[1, 2]", "expected a JSON object"),
@@ -646,15 +621,12 @@ class TestInputsEndInExitCodes:
         ('{"query": "topic1", "groundtruth": "topic1", "candidate": "flr3", "scores": ["1"]}',
          "score '1' is not an integer"),
     ], ids=["array-row", "float-score", "string-score"])
-    def test_jsonl_annotated_row_of_wrong_type_is_exit_3(self, pipeline, tmp_path, capsys,
-                                                          row, message):
+    def test_jsonl_annotated_row_of_wrong_type_is_exit_3(self, pipeline, tmp_path, row, message):
         data = write_lines(tmp_path / "ann.jsonl", [row])
-        out = tmp_path / "scores.tsv"
-        assert main(["score", "--data", data, "--format", "jsonl", "--embeddings",
-                     pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["score", "--data", data, "--format", "jsonl", "--embeddings",
+                         pipeline["emb"], "--checkpoint", pipeline["ckpt"],
+                         "--out", str(tmp_path / "scores.tsv")], 3, tmp_path, "ann.jsonl")
         assert line == f"error: {data}:1: {message}"
-        assert not out.exists()
 
     @pytest.mark.parametrize("row, message", [
         (f'{{"query": "a b", "reply": "c", "x": {DEEP_JSON}}}', "invalid JSON: nested too deeply"),
@@ -662,72 +634,62 @@ class TestInputsEndInExitCodes:
          "invalid JSON: integer too long"),
         ('{"query": "\\ud800 a", "reply": "c"}', "key 'query' holds a lone surrogate"),
     ], ids=["deep", "long-int", "lone-surrogate"])
-    def test_jsonl_corpus_python_refuses_is_exit_3(self, tmp_path, capsys, row, message):
+    def test_jsonl_corpus_python_refuses_is_exit_3(self, tmp_path, row, message):
         corpus = write_lines(tmp_path / "c.jsonl", [row])
-        out = tmp_path / "v.txt"
-        assert main(["train-embeddings", "--corpus", corpus, "--format", "jsonl",
-                     "--out", str(out), "--dim", "4", "--epochs", "1", "--min-count", "1"]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["train-embeddings", "--corpus", corpus, "--format", "jsonl",
+                         "--out", str(tmp_path / "v.txt"), "--dim", "4", "--epochs", "1",
+                         "--min-count", "1"], 3, tmp_path, "c.jsonl")
         assert line.startswith(f"error: {corpus}:1: {message}")
-        assert not out.exists()
 
-    def test_annotated_lone_surrogate_is_exit_3(self, pipeline, tmp_path, capsys):
+    def test_annotated_lone_surrogate_is_exit_3(self, pipeline, tmp_path):
         row = {"query": "topic1 flr2", "groundtruth": "topic1", "candidate": "\udc00",
                "scores": [1]}
         data = write_lines(tmp_path / "ann.jsonl", [json.dumps(row)])
-        out = tmp_path / "scores.tsv"
-        assert main(["score", "--data", data, "--format", "jsonl", "--embeddings",
-                     pipeline["emb"], "--checkpoint", pipeline["ckpt"], "--out", str(out)]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["score", "--data", data, "--format", "jsonl", "--embeddings",
+                         pipeline["emb"], "--checkpoint", pipeline["ckpt"],
+                         "--out", str(tmp_path / "scores.tsv")], 3, tmp_path, "ann.jsonl")
         assert line.startswith(f"error: {data}:1: key 'candidate' holds a lone surrogate")
-        assert not out.exists()
 
     @pytest.mark.parametrize("raw", [DEEP_JSON, LONG_JSON_INT], ids=["deep", "long-int"])
-    def test_checkpoint_header_python_refuses_is_exit_3(self, pipeline, tmp_path, capsys, raw):
+    def test_checkpoint_header_python_refuses_is_exit_3(self, pipeline, tmp_path, raw):
         bad = tmp_path / "header.ckpt"
         with open(pipeline["ckpt"], "rb") as fh:
             bad.write_bytes(splice_checkpoint_header(fh.read(), "hidden", raw))
-        out = tmp_path / "x.tsv"
-        assert main(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
-                     "--checkpoint", str(bad), "--out", str(out)]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                         "--checkpoint", str(bad), "--out", str(tmp_path / "x.tsv")],
+                        3, tmp_path, "header.ckpt")
         assert line == f"error: {bad}: corrupt config block"
-        assert not out.exists()
 
     @pytest.mark.parametrize("word, delta", [(0, 1), (1, -1)], ids=["rank", "shape"])
-    def test_tensor_header_mismatch_is_exit_3(self, pipeline, tmp_path, capsys, word, delta):
+    def test_tensor_header_mismatch_is_exit_3(self, pipeline, tmp_path, word, delta):
         bad = tmp_path / "tensor.ckpt"
         with open(pipeline["ckpt"], "rb") as fh:
             bad.write_bytes(shift_first_tensor_word(fh.read(), word, delta))
-        out = tmp_path / "x.tsv"
-        assert main(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
-                     "--checkpoint", str(bad), "--out", str(out)]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["score", "--data", pipeline["annotated"], "--embeddings", pipeline["emb"],
+                         "--checkpoint", str(bad), "--out", str(tmp_path / "x.tsv")],
+                        3, tmp_path, "tensor.ckpt")
         assert line.startswith(f"error: {bad}: tensor query_encoder.forward.w_gates has ")
-        assert not out.exists()
 
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
-    def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, capsys, cell):
+    def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, cell):
         lines = open(pipeline["scores"]).read().splitlines()
         first = next(i for i, line in enumerate(lines) if line[0].isdigit())
         lines[first] = cell + lines[first][1:]
         table = write_lines(tmp_path / "scores.tsv", lines)
-        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json")]) == 3
-        err = capsys.readouterr().err
-        assert f"{table}:{first + 1}:" in err and "{0, 1, 2}" in err
+        line = _refused(["report", "--scores", table, "--out", str(tmp_path / "r.json")],
+                        3, tmp_path, "scores.tsv")
+        assert f"{table}:{first + 1}:" in line and "{0, 1, 2}" in line
 
-    def test_malformed_normalization_comment_is_exit_3(self, pipeline, tmp_path, capsys):
+    def test_malformed_normalization_comment_is_exit_3(self, pipeline, tmp_path):
         lines = open(pipeline["scores"]).read().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("# normalization:"))
         lines[at] = "# normalization: ref_score min=0"
         table = write_lines(tmp_path / "scores.tsv", lines)
-        out = tmp_path / "r.json"
-        assert main(["report", "--scores", table, "--out", str(out)]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["report", "--scores", table, "--out", str(tmp_path / "r.json")],
+                        3, tmp_path, "scores.tsv")
         assert line.startswith(f"error: {table}:{at + 1}: malformed normalization comment")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
-    def test_misordered_header_is_exit_3(self, pipeline, tmp_path, capsys):
+    def test_misordered_header_is_exit_3(self, pipeline, tmp_path):
         """A column between the annotators and human_mean used to be dropped silently."""
         lines = open(pipeline["scores"]).read().splitlines()
         at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
@@ -736,40 +698,37 @@ class TestInputsEndInExitCodes:
         names[k - 1], names[k] = names[k], names[k - 1]  # human_mean before the last annotator
         lines[at] = "\t".join(names)
         table = write_lines(tmp_path / "scores.tsv", lines)
-        out = tmp_path / "r.json"
-        assert main(["report", "--scores", table, "--out", str(out),
-                     "--quantile-csv", str(tmp_path / "q.csv"),
-                     "--scatter-dir", str(tmp_path / "scatter")]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["report", "--scores", table, "--out", str(tmp_path / "r.json"),
+                         "--quantile-csv", str(tmp_path / "q.csv"),
+                         "--scatter-dir", str(tmp_path / "scatter")], 3, tmp_path, "scores.tsv")
         assert line == (f"error: {table}:{at + 1}: header must be human_1 .. human_k, "
                         f"human_mean, then distinct metric names; column {k + 1} is 'human_{k}'")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
-    @pytest.mark.parametrize("name", ["a,b", "a/b", "a\x00b"], ids=["comma", "slash", "nul"])
-    def test_metric_name_unfit_for_the_outputs_is_exit_3(self, pipeline, tmp_path, capsys,
-                                                         name):
+    @pytest.mark.parametrize("name", ["a,b", "a/b", "a\x00b", "x" * 230, "é" * 115],
+                             ids=["comma", "slash", "nul", "long", "multibyte-long"])
+    def test_metric_name_unfit_for_the_outputs_is_exit_3(self, pipeline, tmp_path, name):
         """Such a name split the quantile CSV's rows or broke a scatter file's name."""
-        lines = open(pipeline["scores"]).read().splitlines()
-        at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-        names = lines[at].split("\t")
-        col = names.index("rouge_l") + 1
-        names[col - 1] = name
-        lines[at] = "\t".join(names)
-        table = write_lines(tmp_path / "scores.tsv", lines)
-        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json"),
-                     "--quantile-csv", str(tmp_path / "q.csv"),
-                     "--scatter-dir", str(tmp_path / "scatter")]) == 3
-        [line] = capsys.readouterr().err.splitlines()
-        assert line == (f"error: {table}:{at + 1}: header must be human_1 .. human_k, "
+        table, at, col = _rename_metric(pipeline, tmp_path, name)
+        line = _refused(["report", "--scores", table, "--out", str(tmp_path / "r.json"),
+                         "--quantile-csv", str(tmp_path / "q.csv"),
+                         "--scatter-dir", str(tmp_path / "scatter")], 3, tmp_path, "scores.tsv")
+        assert line == (f"error: {table}:{at}: header must be human_1 .. human_k, "
                         f"human_mean, then distinct metric names; column {col} is {name!r}")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
+
+    @pytest.mark.parametrize("name", ["x" * 229, "é" * 114 + "x"], ids=["ascii", "multibyte"])
+    def test_longest_metric_name_still_writes_its_scatter_file(self, pipeline, tmp_path,
+                                                               capsys, name):
+        """229 UTF-8 bytes: the scatter file's temporary name is then 255 bytes long."""
+        table, _, _ = _rename_metric(pipeline, tmp_path, name)
+        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json"),
+                     "--scatter-dir", str(tmp_path / "scatter")]) == 0
+        assert (tmp_path / "scatter" / f"scatter_{name}.csv").exists()
 
     @pytest.mark.parametrize("edit, message", [
         ("mean", "human_mean 9.000000 is not the mean"),
         ("count", "header has 2 human_i columns but the annotators comment declares 3"),
     ], ids=["mean", "count"])
-    def test_inconsistent_human_columns_are_exit_3(self, pipeline, tmp_path, capsys,
-                                                   edit, message):
+    def test_inconsistent_human_columns_are_exit_3(self, pipeline, tmp_path, edit, message):
         lines = open(pipeline["scores"]).read().splitlines()
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         k = lines[header].split("\t").index("human_mean")
@@ -783,10 +742,9 @@ class TestInputsEndInExitCodes:
             at = header
             lines = [line.replace("# annotators: 2", "# annotators: 3") for line in lines]
         table = write_lines(tmp_path / "scores.tsv", lines)
-        assert main(["report", "--scores", table, "--out", str(tmp_path / "r.json")]) == 3
-        [line] = capsys.readouterr().err.splitlines()
+        line = _refused(["report", "--scores", table, "--out", str(tmp_path / "r.json")],
+                        3, tmp_path, "scores.tsv")
         assert line.startswith(f"error: {table}:{at + 1}: {message}")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.tsv"]
 
     def test_literal_unk_token_in_corpus(self, tmp_path, capsys):
         corpus = write_lines(tmp_path / "unk.tsv", ["a <unk> b\tb a", "<unk> a\tb"] * 4)
@@ -986,3 +944,18 @@ class TestEntrypoint:
             capture_output=True, text=True,
         )
         assert result.returncode == 2
+
+    def test_overflow_under_warnings_as_errors_is_one_error_line(self, tmp_path):
+        """Under ``-W error`` a numpy overflow warning would be a traceback, not exit 4."""
+        corpus, emb, _, _ = _write_training_corpus(tmp_path, n=40)
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+             "-m", "ruber", "train-scorer", "--corpus", corpus, "--embeddings", emb,
+             "--out", str(tmp_path / "s.ckpt"), "--hidden", "4", "--mlp-hidden", "6",
+             "--epochs", "1", "--lr", "1e308"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 4
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: epoch 1: ") and "non-finite" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "train.tsv"]

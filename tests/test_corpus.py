@@ -71,7 +71,6 @@ class TestLoadPairsTsv:
         assert len(ds) == 3
         assert ds[0] == QueryReplyPair(["how", "are", "you"], ["fine", "thanks"])
         assert ds.skipped == 0
-        assert ds.format == "tsv"
 
     def test_single_field_row_is_parse_error(self, tmp_path):
         path = write_lines(tmp_path / "bad.tsv", ["query with no reply"])

@@ -333,8 +333,7 @@ def _oracle_instance(seed, window):
     def utterance():
         return [words[int(rng.integers(4))] for _ in range(int(rng.integers(1, 9)))]
 
-    dataset = Dataset([QueryReplyPair(utterance(), utterance()) for _ in range(12)],
-                      "memory", "tsv")
+    dataset = Dataset([QueryReplyPair(utterance(), utterance()) for _ in range(12)], "memory")
     params = dict(dim=(3, 5, 8)[seed % 3], window=window, negatives=(3, 4, 5)[seed % 3],
                   epochs=2, lr=0.025, min_count=1, seed=seed)
     return dataset, params

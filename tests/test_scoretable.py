@@ -282,11 +282,14 @@ class TestHeaderOrder:
         ("human_1 human_mean ref_score a,b", f"{_ORDER_RULE}; column 4 is 'a,b'"),
         ("human_1 human_mean ref_score a/b", f"{_ORDER_RULE}; column 4 is 'a/b'"),
         ("human_1 human_mean a\x00b ref_score", f"{_ORDER_RULE}; column 3 is 'a\\x00b'"),
+        ("human_1 human_mean ref_score " + "x" * 230, f"{_ORDER_RULE}; column 4 is {'x' * 230!r}"),
+        ("human_1 human_mean ref_score " + "é" * 115, f"{_ORDER_RULE}; column 4 is {'é' * 115!r}"),
         ("human_1 human_2 ref_score unref_score", "missing annotator columns or human_mean"),
         ("human_mean ref_score x y", "missing annotator columns or human_mean"),
     ], ids=["column-between", "annotators-swapped", "annotator-skipped", "name-first",
             "annotator-after-mean", "second-mean", "repeated-metric", "empty-name",
-            "comma-in-name", "slash-in-name", "nul-in-name", "no-mean", "no-annotators"])
+            "comma-in-name", "slash-in-name", "nul-in-name", "name-over-229-bytes",
+            "multibyte-name-over-229-bytes", "no-mean", "no-annotators"])
     def test_refused_at_the_header_line(self, tmp_path, header, message):
         names = header.split(" ")
         path = write_lines(tmp_path / "bad.tsv",

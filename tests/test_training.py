@@ -328,9 +328,7 @@ class TestTrain:
     def test_too_small_corpus_rejected(self):
         rng = np.random.default_rng(77)
         vocab, matrix = toy_vocab_matrix(rng)
-        dataset = Dataset(
-            (QueryReplyPair(["t0"], ["t1"]),), source="tiny", format="tsv"
-        )
+        dataset = Dataset((QueryReplyPair(["t0"], ["t1"]),), source="tiny")
         config = TrainConfig(hidden=2, mlp_hidden=3, epochs=1)
         with pytest.raises(ValidationError):
             train(dataset, vocab, matrix, config)
