@@ -14,13 +14,16 @@ Layout, all integers little-endian:
 
 Tensors are quantized to float32 on save and come back as float64 with
 exactly the stored float32 values, so save/load/save round trips are
-byte-stable.
+byte-stable.  A load streams the file: it checks the byte length that
+the header declares against the file's size before it allocates, and
+never holds the file whole, so a non-checkpoint is refused after 4 bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 
@@ -70,17 +73,15 @@ def save_checkpoint(
     blob = dict(asdict(config), embed_dim=params.embed_dim)
     encoded = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_write(path, binary=True) as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(encoded)))
-        fh.write(encoded)
-        fh.write(struct.pack("<Q", vocab_hash))
+        fh.write(MAGIC + struct.pack("<HI", FORMAT_VERSION, len(encoded)))
+        fh.write(encoded + struct.pack("<Q", vocab_hash))
         for _, arr in params.tensors():
-            quantized = quantize(arr)
-            fh.write(struct.pack("<I", quantized.ndim))
-            for dim in quantized.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(quantized.tobytes())
+            fh.write(_tensor_header(arr.shape) + quantize(arr).tobytes())
+
+
+def _tensor_header(shape) -> bytes:
+    """A tensor record's header: u32 rank, then u32 per dimension."""
+    return struct.pack(f"<{1 + len(shape)}I", len(shape), *shape)
 
 
 def quantize(arr: np.ndarray) -> np.ndarray:
@@ -102,73 +103,70 @@ def load_checkpoint(
     raises :class:`~ruber.errors.CheckpointFormatError`.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    reader = _Reader(path, data)
+        size = os.fstat(fh.fileno()).st_size
 
-    if reader.take(4) != MAGIC:
-        raise CheckpointFormatError(f"{path}: not a scorer checkpoint (bad magic)")
-    (version,) = struct.unpack("<H", reader.take(2))
-    if version != FORMAT_VERSION:
-        raise CheckpointFormatError(
-            f"{path}: unsupported format version {version} (expected {FORMAT_VERSION})"
-        )
-    (blob_len,) = struct.unpack("<I", reader.take(4))
-    try:
-        blob = json.loads(reader.take(blob_len).decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
-        raise CheckpointFormatError(f"{path}: corrupt config block") from exc
-    if not isinstance(blob, dict):
-        raise CheckpointFormatError(f"{path}: config block is not a JSON object")
-    if blob.keys() != _CONFIG_KEYS:
-        missing = ", ".join(sorted(_CONFIG_KEYS - blob.keys())) or "none"
-        unknown = ", ".join(map(repr, sorted(blob.keys() - _CONFIG_KEYS))) or "none"
-        raise CheckpointFormatError(
-            f"{path}: config block fields differ from the format "
-            f"(missing: {missing}; unknown: {unknown})"
-        )
-    embed_dim = blob.pop("embed_dim")
-    config = TrainConfig(**blob)
-    _check_config(path, embed_dim, config)
+        def take(n: int) -> bytes:
+            at = fh.tell()
+            out = fh.read(n) if at + n <= size else b""  # a lying length reads nothing
+            if len(out) < n:
+                raise CheckpointFormatError(
+                    f"{path}: truncated (wanted {n} byte(s) at offset {at})"
+                )
+            return out
 
-    (vocab_hash,) = struct.unpack("<Q", reader.take(8))
-
-    # the declared shapes fix the byte length; check it before allocating
-    expected = sum(
-        4 * (1 + len(shape) + math.prod(shape))
-        for shape in scorer_shapes(embed_dim, config.hidden, config.mlp_hidden)
-    )
-    if reader.remaining() < expected:
-        raise CheckpointFormatError(
-            f"{path}: truncated (header declares {expected} tensor byte(s), "
-            f"{reader.remaining()} present)"
-        )
-    if reader.remaining() > expected:
-        raise CheckpointFormatError(
-            f"{path}: {reader.remaining() - expected} trailing byte(s)"
-        )
-
-    params = zero_scorer_params(embed_dim, config.hidden, config.mlp_hidden)
-    for name, arr in params.tensors():
-        (rank,) = struct.unpack("<I", reader.take(4))
-        if rank != arr.ndim:
+        if take(4) != MAGIC:
+            raise CheckpointFormatError(f"{path}: not a scorer checkpoint (bad magic)")
+        (version,) = struct.unpack("<H", take(2))
+        if version != FORMAT_VERSION:
             raise CheckpointFormatError(
-                f"{path}: tensor {name} has rank {rank}, expected {arr.ndim}"
+                f"{path}: unsupported format version {version} (expected {FORMAT_VERSION})"
             )
-        shape = tuple(
-            struct.unpack("<I", reader.take(4))[0] for _ in range(rank)
-        )
-        if shape != arr.shape:
+        (blob_len,) = struct.unpack("<I", take(4))
+        try:
+            blob = json.loads(take(blob_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too long an int
+            raise CheckpointFormatError(f"{path}: corrupt config block") from exc
+        if not isinstance(blob, dict):
+            raise CheckpointFormatError(f"{path}: config block is not a JSON object")
+        if blob.keys() != _CONFIG_KEYS:
+            missing = ", ".join(sorted(_CONFIG_KEYS - blob.keys())) or "none"
+            unknown = ", ".join(map(repr, sorted(blob.keys() - _CONFIG_KEYS))) or "none"
             raise CheckpointFormatError(
-                f"{path}: tensor {name} has shape {shape}, expected {arr.shape}"
+                f"{path}: config block fields differ from the format "
+                f"(missing: {missing}; unknown: {unknown})"
             )
-        raw = reader.take(4 * math.prod(shape))
-        arr[...] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(float)
+        embed_dim = blob.pop("embed_dim")
+        config = TrainConfig(**blob)
+        _check_config(path, embed_dim, config)
 
-    if (
-        expected_vocab_hash is not None
-        and expected_vocab_hash != vocab_hash
-        and not allow_vocab_mismatch
-    ):
+        (vocab_hash,) = struct.unpack("<Q", take(8))
+
+        # the declared shapes fix the byte length; check it before allocating
+        shapes = scorer_shapes(embed_dim, config.hidden, config.mlp_hidden)
+        expected = sum(4 * (1 + len(shape) + math.prod(shape)) for shape in shapes)
+        remaining = size - fh.tell()
+        if remaining < expected:
+            raise CheckpointFormatError(
+                f"{path}: truncated (header declares {expected} tensor byte(s), "
+                f"{remaining} present)"
+            )
+        if remaining > expected:
+            raise CheckpointFormatError(f"{path}: {remaining - expected} trailing byte(s)")
+
+        params = zero_scorer_params(embed_dim, config.hidden, config.mlp_hidden)
+        for name, arr in params.tensors():
+            rank, *dims = np.frombuffer(take(len(_tensor_header(arr.shape))), "<u4").tolist()
+            if rank != arr.ndim:
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name} has rank {rank}, expected {arr.ndim}"
+                )
+            if tuple(dims) != arr.shape:
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name} has shape {tuple(dims)}, expected {arr.shape}"
+                )
+            arr[...] = np.frombuffer(take(4 * arr.size), "<f4").reshape(arr.shape)
+
+    if expected_vocab_hash not in (None, vocab_hash) and not allow_vocab_mismatch:
         raise CompatibilityError(
             f"{path}: checkpoint was trained against a different vocabulary "
             f"(stored hash {vocab_hash:#018x}, supplied {expected_vocab_hash:#018x}); "
@@ -203,23 +201,3 @@ def _check_config(path, embed_dim, config: TrainConfig) -> None:
     except ConfigError as exc:
         raise CheckpointFormatError(f"{path}: invalid config block: {exc}") from exc
 
-
-class _Reader:
-    """Bounds-checked cursor over the checkpoint bytes."""
-
-    def __init__(self, path, data: bytes):
-        self.path = path
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointFormatError(
-                f"{self.path}: truncated (wanted {n} byte(s) at offset {self.pos})"
-            )
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def remaining(self) -> int:
-        return len(self.data) - self.pos

@@ -60,9 +60,12 @@ Triple = tuple[list, list, list]
 # (about 0.2 MiB per triple at H=64); 8 already amortizes most of the
 # per-step cost of the backward loop.
 _SUB_BATCH = 8
-# Rows per weight-gradient product.  At H=64 and d=50 a product of 96
-# rows is at most 786,432 multiply-adds, under the 2**20 beyond which
-# OpenBLAS wakes a second, spinning thread.
+# Rows per weight-gradient product.  At H=64 and d=50 the largest product
+# of 96 rows, ``d_a.T @ h_prev``, is 786,432 multiply-adds.  Measured on a
+# 2-core machine with OpenBLAS 0.3.31, these products stayed on one thread
+# (cpu/wall 0.84-1.00), while forward-layout products (``x @ W.T``) woke a
+# second, spinning thread from 524,288: whether a product wakes it depends
+# on its layout as well as its size.
 _BLOCK_ROWS = 96
 
 

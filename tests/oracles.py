@@ -8,8 +8,10 @@ these and the vectorized library code is what the oracle tests assert.
 The exceptions are :func:`loop_compute_gradients`, a frozen copy of an
 earlier numpy implementation of the scorer's backward pass,
 :func:`padded_batch_loss`, the scorer's batched forward as it was
-written with left-padded rows, and :func:`listed_scorer_init`, the
-scorer's initializer as it was written out tensor by tensor.
+written with left-padded rows, :func:`listed_scorer_init`, the
+scorer's initializer as it was written out tensor by tensor, and
+:func:`per_field_save_checkpoint`, the checkpoint writer as it packed
+each header field with its own ``struct.pack``.
 """
 
 from __future__ import annotations
@@ -734,3 +736,29 @@ def string_cells_read_score_table(path):
     columns = np.array(metric_rows)
     metrics = {name: columns[:, j].copy() for j, name in enumerate(metric_names)}
     return ScoreTable(human, metrics, normalization, source)
+
+
+# ---------------------------------------------------------------------------
+# frozen checkpoint writer
+
+
+def per_field_save_checkpoint(params, config, vocab_hash, path):
+    """The checkpoint writer that packed every header field and dimension alone."""
+    import json
+    import struct
+    from dataclasses import asdict
+
+    blob = dict(asdict(config), embed_dim=params.embed_dim)
+    encoded = json.dumps(blob, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"RUBR")
+        fh.write(struct.pack("<H", 1))
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<Q", vocab_hash))
+        for _, arr in params.tensors():
+            quantized = np.asarray(arr, dtype="<f4", order="C")
+            fh.write(struct.pack("<I", quantized.ndim))
+            for dim in quantized.shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(quantized.tobytes())

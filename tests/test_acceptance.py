@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -348,7 +349,7 @@ def test_criterion_09_scoring_and_reporting_are_reproducible(tmp_path, capsys):
                      "--checkpoint", ckpt, "--out", scores]) == 0
         assert main(["report", "--scores", scores, "--out", report,
                      "--seed", "3"]) == 0
-        outputs.append((open(scores, "rb").read(), open(report, "rb").read()))
+        outputs.append((Path(scores).read_bytes(), Path(report).read_bytes()))
     assert outputs[0][0] == outputs[1][0], "score outputs differ between reruns"
     assert outputs[0][1] == outputs[1][1], "report outputs differ between reruns"
 
@@ -388,14 +389,14 @@ def test_criterion_10_missing_ngrams_flow_through_as_undefined(tmp_path, capsys)
     assert main(["report", "--scores", scores, "--out", report_json,
                  "--text-out", report_text]) == 0
 
-    table = open(scores).read()
+    table = Path(scores).read_text()
     assert "nan" in table
-    payload = json.loads(open(report_json).read())
+    payload = json.loads(Path(report_json).read_text())
     for metric in ("bleu_2", "bleu_3", "bleu_4"):
         row = payload["rows"][metric]
         assert row["pearson_r"] is None
         assert row["n_used"] == 0
-    text = open(report_text).read()
+    text = Path(report_text).read_text()
     bleu4_line = next(line for line in text.splitlines()
                       if line.startswith("bleu_4"))
     assert "undefined" in bleu4_line

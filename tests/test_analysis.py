@@ -142,6 +142,10 @@ class TestIncompleteBeta:
         assert regularized_incomplete_beta(2.0, 3.0, 0.0) == 0.0
         assert regularized_incomplete_beta(2.0, 3.0, 1.0) == 1.0
 
+    def test_non_positive_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape parameters must be positive"):
+            regularized_incomplete_beta(0, 1, 0.5)
+
 
 class TestCorrelate:
     def test_pairwise_nan_exclusion(self):

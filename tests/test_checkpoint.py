@@ -1,6 +1,9 @@
 """Binary checkpoint serialization."""
 
 import struct
+import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,7 +77,32 @@ class TestRoundTrip:
         save_checkpoint(params, config, h, p1)
         ckpt = load_checkpoint(p1)
         save_checkpoint(ckpt.params, ckpt.config, ckpt.vocab_hash, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+
+    @pytest.mark.parametrize("seed, d, hidden, mlp", [
+        (7, 1, 1, 1), (8, 4, 3, 5), (9, 13, 6, 2), (10, 50, 64, 128),
+    ])
+    def test_bytes_match_per_field_writer(self, tmp_path, seed, d, hidden, mlp):
+        params, _, vocab = _fresh(seed, d, hidden, mlp)
+        config = TrainConfig(hidden=hidden, mlp_hidden=mlp, seed=seed)
+        assert params.mlp_out_b.ndim == 0
+        h = vocab_content_hash(vocab)
+        save_checkpoint(params, config, h, tmp_path / "new.ckpt")
+        oracles.per_field_save_checkpoint(params, config, h, tmp_path / "old.ckpt")
+        assert (tmp_path / "new.ckpt").read_bytes() == (tmp_path / "old.ckpt").read_bytes()
+
+    def test_load_holds_the_tensors_and_one_record(self, tmp_path):
+        params, _, _ = _fresh(11, d=50, hidden=64, mlp=128)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(params, TrainConfig(hidden=64, mlp_hidden=128), 0, path)
+        tracemalloc.start()
+        try:
+            tensors = [arr for _, arr in load_checkpoint(str(path)).params.tensors()]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest_record = 4 * max(arr.size for arr in tensors)
+        assert peak <= sum(arr.nbytes for arr in tensors) + largest_record + 64 * 1024
 
     def test_config_fields_survive(self, tmp_path):
         params, _, vocab = _fresh(2)
@@ -91,19 +119,19 @@ class TestFormatErrors:
         params, config, vocab = _fresh(3)
         path = str(tmp_path / "good.ckpt")
         save_checkpoint(params, config, vocab_content_hash(vocab), path)
-        return path, open(path, "rb").read()
+        return path, Path(path).read_bytes()
 
     def test_bad_magic(self, tmp_path):
         path, data = self._saved(tmp_path)
         bad = str(tmp_path / "bad.ckpt")
-        open(bad, "wb").write(b"XXXX" + data[4:])
+        Path(bad).write_bytes(b"XXXX" + data[4:])
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bad)
 
     def test_unsupported_version(self, tmp_path):
         path, data = self._saved(tmp_path)
         bad = str(tmp_path / "bad.ckpt")
-        open(bad, "wb").write(data[:4] + struct.pack("<H", 99) + data[6:])
+        Path(bad).write_bytes(data[:4] + struct.pack("<H", 99) + data[6:])
         with pytest.raises(CheckpointFormatError) as err:
             load_checkpoint(bad)
         assert "99" in str(err.value)
@@ -113,14 +141,38 @@ class TestFormatErrors:
         path, data = self._saved(tmp_path)
         bad = str(tmp_path / "cut.ckpt")
         for cut in [0, 3, 5, 9, len(data) // 2, len(data) - 1]:
-            open(bad, "wb").write(data[:cut])
+            Path(bad).write_bytes(data[:cut])
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(bad)
+
+    def test_file_cut_while_loading(self, tmp_path, monkeypatch):
+        """A file shorter than its size said is truncated, not a struct error."""
+        path, data = self._saved(tmp_path)
+        monkeypatch.setattr(checkpoint_mod, "os", SimpleNamespace(
+            fstat=lambda fd: SimpleNamespace(st_size=len(data))))
+        bad = tmp_path / "shrunk.ckpt"
+        for cut in [0, 3, 5, 9, 40, len(data) // 2, len(data) - 1]:
+            bad.write_bytes(data[:cut])
+            with pytest.raises(CheckpointFormatError, match=r"truncated \(wanted"):
+                load_checkpoint(str(bad))
+
+    def test_text_file_refused_without_reading_it(self, tmp_path):
+        bad = tmp_path / "corpus.txt"
+        bad.write_text("what is the weather like today ?\n" * (1 << 18))
+        assert bad.stat().st_size >= 8 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="bad magic"):
+                load_checkpoint(str(bad))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_trailing_bytes(self, tmp_path):
         path, data = self._saved(tmp_path)
         bad = str(tmp_path / "long.ckpt")
-        open(bad, "wb").write(data + b"\x00")
+        Path(bad).write_bytes(data + b"\x00")
         with pytest.raises(CheckpointFormatError) as err:
             load_checkpoint(bad)
         assert "trailing" in str(err.value)
@@ -131,7 +183,7 @@ class TestFormatErrors:
         bad = str(tmp_path / "json.ckpt")
         corrupted = bytearray(data)
         corrupted[10] = 0xFF  # first config byte becomes invalid UTF-8
-        open(bad, "wb").write(bytes(corrupted))
+        Path(bad).write_bytes(bytes(corrupted))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(bad)
 
@@ -176,7 +228,7 @@ class TestFormatErrors:
         path = str(tmp_path / "good.ckpt")
         save_checkpoint(params, config, vocab_content_hash(vocab), path)
         bad = tmp_path / "tensor.ckpt"
-        bad.write_bytes(shift_first_tensor_word(open(path, "rb").read(), word, delta))
+        bad.write_bytes(shift_first_tensor_word(Path(path).read_bytes(), word, delta))
         with pytest.raises(CheckpointFormatError) as err:
             load_checkpoint(str(bad))
         assert str(err.value) == f"{bad}: tensor query_encoder.forward.w_gates {message}"

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestTrainEmbeddings:
                 "--epochs", "1", "--min-count", "1", "--seed", "2"]
         assert main(args + ["--out", a]) == 0
         assert main(args + ["--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_config_line_shows_every_train_sgns_default(self, tmp_path, capsys):
         corpus, _, _, _ = _write_training_corpus(tmp_path, n=40)
@@ -253,7 +254,7 @@ class TestScore:
             "--embeddings", pipeline["emb"],
             "--checkpoint", pipeline["ckpt"], "--out", again,
         ]) == 0
-        assert open(pipeline["scores"], "rb").read() == open(again, "rb").read()
+        assert Path(pipeline["scores"]).read_bytes() == Path(again).read_bytes()
 
     def test_single_blend_option(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "geo.tsv")
@@ -360,10 +361,10 @@ class TestReport:
             "report", "--scores", pipeline["scores"], "--out", out,
             "--text-out", text_out,
         ]) == 0
-        payload = json.loads(open(out).read())
+        payload = json.loads(Path(out).read_text())
         assert payload["n_pairs"] == 12
         printed = capsys.readouterr().out
-        body = open(text_out).read()
+        body = Path(text_out).read_text()
         assert body in printed
         assert "ruber_arithmetic" in body
 
@@ -376,7 +377,7 @@ class TestReport:
             "--quantile-csv", qcsv, "--scatter-dir", str(sdir),
             "--bins", "3", "--seed", "5",
         ]) == 0
-        lines = open(qcsv).read().splitlines()
+        lines = Path(qcsv).read_text().splitlines()
         assert lines[0] == "metric,bin,mean_human,mean_metric"
         assert any(line.startswith("ref_score,0,") for line in lines)
         made = sorted(p.name for p in sdir.iterdir())
@@ -388,7 +389,7 @@ class TestReport:
         for out in (a, b):
             assert main(["report", "--scores", pipeline["scores"],
                          "--out", out, "--seed", "5"]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_config_line_shows_the_library_defaults(self, pipeline, tmp_path, capsys):
         out = str(tmp_path / "r.json")
@@ -428,10 +429,15 @@ class TestConfigFile:
                         2, tmp_path, "opts.cfg")
         assert "wibble" in line
 
-    def test_bad_value_type_exit_2(self, tmp_path):
-        cfg = write_lines(tmp_path / "opts.cfg", ["epochs = soon"])
-        _refused(["train-embeddings", "--config", cfg, "--corpus", "x", "--out", "y"],
-                 2, tmp_path, "opts.cfg")
+    @pytest.mark.parametrize("command, line, message", [
+        ("train-embeddings", "epochs = soon", "option 'epochs' expects int, got 'soon'"),
+        ("train-scorer", "fine_tune_embeddings = maybe",
+         "option 'fine_tune_embeddings' expects a boolean, got 'maybe'"),
+    ], ids=["int", "boolean"])
+    def test_bad_value_type_exit_2(self, tmp_path, command, line, message):
+        cfg = write_lines(tmp_path / "opts.cfg", [line])
+        assert _refused([command, "--config", cfg, "--corpus", "x", "--out", "y"],
+                        2, tmp_path, "opts.cfg") == f"error: {cfg}: {message}"
 
     def test_missing_required_option_exit_2(self, tmp_path):
         line = _refused(["train-embeddings", "--out", str(tmp_path / "y")], 2, tmp_path)
@@ -490,7 +496,7 @@ def _runnable_argv(command, pipeline, tmp_path):
 def _rename_metric(pipeline, tmp_path, name):
     """The pipeline's score table with ``rouge_l`` renamed; returns its path,
     header line and the renamed column (both 1-based)."""
-    lines = open(pipeline["scores"]).read().splitlines()
+    lines = Path(pipeline["scores"]).read_text().splitlines()
     at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     names = lines[at].split("\t")
     col = names.index("rouge_l") + 1
@@ -672,7 +678,7 @@ class TestInputsEndInExitCodes:
 
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
     def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, cell):
-        lines = open(pipeline["scores"]).read().splitlines()
+        lines = Path(pipeline["scores"]).read_text().splitlines()
         first = next(i for i, line in enumerate(lines) if line[0].isdigit())
         lines[first] = cell + lines[first][1:]
         table = write_lines(tmp_path / "scores.tsv", lines)
@@ -681,7 +687,7 @@ class TestInputsEndInExitCodes:
         assert f"{table}:{first + 1}:" in line and "{0, 1, 2}" in line
 
     def test_malformed_normalization_comment_is_exit_3(self, pipeline, tmp_path):
-        lines = open(pipeline["scores"]).read().splitlines()
+        lines = Path(pipeline["scores"]).read_text().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("# normalization:"))
         lines[at] = "# normalization: ref_score min=0"
         table = write_lines(tmp_path / "scores.tsv", lines)
@@ -691,7 +697,7 @@ class TestInputsEndInExitCodes:
 
     def test_misordered_header_is_exit_3(self, pipeline, tmp_path):
         """A column between the annotators and human_mean used to be dropped silently."""
-        lines = open(pipeline["scores"]).read().splitlines()
+        lines = Path(pipeline["scores"]).read_text().splitlines()
         at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         names = lines[at].split("\t")
         k = names.index("human_mean")
@@ -729,7 +735,7 @@ class TestInputsEndInExitCodes:
         ("count", "header has 2 human_i columns but the annotators comment declares 3"),
     ], ids=["mean", "count"])
     def test_inconsistent_human_columns_are_exit_3(self, pipeline, tmp_path, edit, message):
-        lines = open(pipeline["scores"]).read().splitlines()
+        lines = Path(pipeline["scores"]).read_text().splitlines()
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         k = lines[header].split("\t").index("human_mean")
         assert k == 2
@@ -883,7 +889,7 @@ class TestExitCodeContract:
     def test_mutated_checkpoint_ends_in_a_documented_code(
         self, contract_files, tmp_path, mutation, header
     ):
-        data = open(contract_files["scorer.ckpt"], "rb").read()
+        data = Path(contract_files["scorer.ckpt"]).read_bytes()
         if header is not None:
             data = rewrite_checkpoint_header(data, **dict([header]))
         ckpt = tmp_path / "x.ckpt"
@@ -901,7 +907,7 @@ class TestExitCodeContract:
     def test_mutated_score_table_ends_in_a_documented_code(
         self, contract_files, tmp_path, mutation, cell
     ):
-        data = open(contract_files["scores.tsv"], "rb").read()
+        data = Path(contract_files["scores.tsv"]).read_bytes()
         if cell is not None:
             data = _replace_cell(data, cell)
         table = tmp_path / "scores.tsv"

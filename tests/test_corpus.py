@@ -7,6 +7,7 @@ import pytest
 from conftest import DEEP_JSON, LONG_JSON_INT, write_lines
 from ruber.corpus import (
     AnnotatedPair,
+    Dataset,
     QueryReplyPair,
     build_vocab,
     load_annotated,
@@ -57,6 +58,7 @@ class TestVocabulary:
         assert [vocab.tokens[vocab.id_of(t)] for t in ["x", "y", "z"]] == ["x", "y", "z"]
         assert vocab == Vocabulary(["x", "y", "z"])
         assert vocab != Vocabulary(["x", "z", "y"])
+        assert (vocab == "x") is False
         assert list(vocab.tokens) == [UNK_TOKEN, "x", "y", "z"]
 
 
@@ -336,6 +338,10 @@ class TestBuildVocab:
         ds = load_pairs(path)
         with pytest.raises(ValueError):
             build_vocab(ds, min_count=0)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            build_vocab(Dataset([], "empty"), min_count=1)
 
     def test_ties_break_alphabetically(self, tmp_path):
         path = write_lines(tmp_path / "c.tsv", ["b a\tc c"])

@@ -1,6 +1,7 @@
 """Embedding file I/O and skip-gram training."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ class TestSaveTextEmbeddings:
         save_text_embeddings(vocab, matrix, p1)
         v2, m2 = load_text_embeddings(p1)
         save_text_embeddings(v2, m2, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_rejects_shape_mismatch_and_non_finite(self, tmp_path):
         vocab = Vocabulary(["a"])

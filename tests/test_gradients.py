@@ -173,6 +173,11 @@ class TestComputeGradients:
         with pytest.raises(NumericalError):
             compute_gradients(batch, params, vocab, matrix, config)
 
+    def test_empty_batch_rejected(self):
+        _, vocab, matrix, params, config, _ = self._setup(59)
+        with pytest.raises(ValueError, match="batch must not be empty"):
+            compute_gradients([], params, vocab, matrix, config)
+
     def test_each_query_is_encoded_once(self, monkeypatch):
         """One query encode per triple: the negative reuses the positive's."""
         rng, vocab, matrix, params, config, _ = self._setup(60)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestScoreTableIO:
         write_score_table(table, p1)
         loaded = read_score_table(p1)
         write_score_table(loaded, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_read_back_values_at_format_precision(self, tmp_path):
         dataset, vocab, matrix, params = _setup(tmp_path)
@@ -137,7 +138,7 @@ class TestScoreTableIO:
         assert np.any(~np.isfinite(table.metrics["bleu_4"]))  # short candidates
         path = str(tmp_path / "t.tsv")
         write_score_table(table, path)
-        assert "nan" in open(path).read()
+        assert "nan" in Path(path).read_text()
         loaded = read_score_table(path)
         assert np.array_equal(
             np.isnan(table.metrics["bleu_4"]), np.isnan(loaded.metrics["bleu_4"])
