@@ -67,7 +67,6 @@ class _Opt:
     type: type = str
     default: object = None
     required: bool = False
-    flag: bool = False        # boolean switch
     choices: tuple = ()
     help: str = ""
 
@@ -111,7 +110,7 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("batch_size", int, TrainConfig.batch_size, help="samples per update"),
         _Opt("max_len", int, TrainConfig.max_len, help="utterance truncation length"),
         _Opt("seed", int, TrainConfig.seed, help="rng seed"),
-        _Opt("fine_tune_embeddings", flag=True,
+        _Opt("fine_tune_embeddings", bool, False,
              help="also train word vectors (writes <out>.embeddings.txt)"),
     ),
     "score": (
@@ -124,7 +123,7 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
              "(default: the checkpoint's training max_len)"),
         _Opt("blend", str, "all", choices=_BLEND_CHOICES,
              help="emit all four blends or just one"),
-        _Opt("allow_vocab_mismatch", flag=True,
+        _Opt("allow_vocab_mismatch", bool, False,
              help="load the checkpoint even if the vocabulary hash differs"),
     ),
     "report": (
@@ -141,12 +140,9 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        options = _resolve_options(args)
-        handler = _HANDLERS[args.command]
-        return handler(options)
+        args = _build_parser().parse_args(argv)
+        return _HANDLERS[args.command](_resolve_options(args))
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except (ParseError, ValidationError, CheckpointFormatError, OSError,
@@ -167,8 +163,15 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error like any other bad option: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # add_parser builds the subparsers with this class too
         prog="ruber",
         description="Referenced + unreferenced blended evaluation for dialog replies",
     )
@@ -176,24 +179,18 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, opts in _COMMANDS.items():
         sub = subparsers.add_parser(command)
         sub.add_argument("--config", default=None, help="key=value option file")
-        for opt in opts:
-            flag_name = "--" + opt.name.replace("_", "-")
-            if opt.flag:
-                sub.add_argument(flag_name, dest=opt.name, action="store_true",
-                                 default=argparse.SUPPRESS, help=opt.help)
-            else:
-                kwargs = dict(dest=opt.name, type=opt.type,
-                              default=argparse.SUPPRESS, help=opt.help)
-                if opt.choices:
-                    kwargs["choices"] = opt.choices
-                sub.add_argument(flag_name, **kwargs)
+        for opt in opts:  # argparse only collects text; _convert makes every value
+            switch = dict(action="store_const", const="true") if opt.type is bool else {}
+            sub.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
+                             default=argparse.SUPPRESS, help=opt.help, **switch,
+                             metavar="{" + ",".join(opt.choices) + "}" if opt.choices else None)
     return parser
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge built-in defaults, the config file, and explicit flags."""
     opts = {opt.name: opt for opt in _COMMANDS[args.command]}
-    values = {name: (False if opt.flag else opt.default) for name, opt in opts.items()}
+    values = {name: opt.default for name, opt in opts.items()}
 
     if args.config is not None:
         for key, raw in _read_config_file(args.config).items():
@@ -202,9 +199,9 @@ def _resolve_options(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"{args.config}: unknown option {key!r}")
             values[name] = _convert(opts[name], raw, args.config)
 
-    for name in opts:
+    for name, opt in opts.items():
         if hasattr(args, name):
-            values[name] = getattr(args, name)
+            values[name] = _convert(opt, getattr(args, name), "--" + name.replace("_", "-"))
 
     missing = [name for name, opt in opts.items() if opt.required and values[name] is None]
     if missing:
@@ -237,7 +234,7 @@ def _read_config_file(path) -> dict[str, str]:
 
 
 def _convert(opt: _Opt, raw: str, source) -> object:
-    if opt.flag:
+    if opt.type is bool:
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
             return True

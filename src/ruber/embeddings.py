@@ -31,36 +31,36 @@ def load_text_embeddings(path) -> tuple[Vocabulary, np.ndarray]:
     mean row otherwise).  Malformed content raises :class:`ParseError`
     with the line number.  The file is read twice, line by line: once to
     count its rows and once to parse them, so only the matrix is held
-    whole.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; any other whitespace,
-    such as a form feed, separates fields.
+    whole, and a pipe is refused.  Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``; any other whitespace, such as a form feed, separates fields.
     """
-    header, last = "", 0  # the first line, and the number of the last non-blank one
+    last = 0  # the number of the last non-blank line
     with open(path, encoding="utf-8") as fh:
+        if not fh.seekable():
+            raise ParseError(path, 1, "not a seekable file (a pipe cannot be read twice)")
         for lineno, line in enumerate(fh, start=1):
-            if lineno == 1:
-                header = line
             if line.strip():
                 last = lineno
-    if not last:
-        raise ParseError(path, 1, "empty embedding file")
+        if not last:
+            raise ParseError(path, 1, "empty embedding file")
 
-    head = header.split()
-    if len(head) != 2:
-        raise ParseError(path, 1, "header must be '<vocab_size> <dim>'")
-    try:
-        declared, dim = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(path, 1, "header must hold two integers") from exc
-    if declared < 1 or dim < 1:
-        raise ParseError(path, 1, f"header values must be positive, got {declared} {dim}")
-    if last - 1 != declared:
-        raise ParseError(path, last, f"header declares {declared} rows but file has {last - 1}")
+        fh.seek(0)
+        head = fh.readline().split()
+        if len(head) != 2:
+            raise ParseError(path, 1, "header must be '<vocab_size> <dim>'")
+        try:
+            declared, dim = int(head[0]), int(head[1])
+        except ValueError as exc:
+            raise ParseError(path, 1, "header must hold two integers") from exc
+        if declared < 1 or dim < 1:
+            raise ParseError(path, 1, f"header values must be positive, got {declared} {dim}")
+        if last - 1 != declared:
+            raise ParseError(path, last,
+                             f"header declares {declared} rows but file has {last - 1}")
 
-    # grow with the rows read, never to (declared, dim): the header may lie
-    seen: dict[str, None] = {}  # the tokens in row order; row i is on line i + 2
-    values = array("d")
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
+        # grow with the rows read, never to (declared, dim): the header may lie
+        seen: dict[str, None] = {}  # the tokens in row order; row i is on line i + 2
+        values = array("d")
         for lineno, line in enumerate(islice(fh, declared), start=2):
             parts = line.split()
             if len(parts) != dim + 1:

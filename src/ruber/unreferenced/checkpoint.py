@@ -103,6 +103,8 @@ def load_checkpoint(
     raises :class:`~ruber.errors.CheckpointFormatError`.
     """
     with open(path, "rb") as fh:
+        if not fh.seekable():  # a pipe has no size to check the declared lengths against
+            raise CheckpointFormatError(f"{path}: not a regular file")
         size = os.fstat(fh.fileno()).st_size
 
         def take(n: int) -> bytes:

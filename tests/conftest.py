@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -68,6 +70,24 @@ def separable_corpus(rng, n_pairs=500, n_topics=20, n_fillers=10, dim=16):
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return str(path)
+
+
+@contextlib.contextmanager
+def pipe_holding(data: bytes):
+    """A ``/dev/fd/N`` path that reads ``data`` from a pipe, as a shell's ``<(...)`` gives.
+
+    ``data`` must fit the pipe's buffer (64 KiB on Linux): nothing reads while it is written.
+    """
+    assert len(data) < 1 << 16
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+    finally:
+        os.close(write_end)
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
 
 
 def rewrite_checkpoint_header(data: bytes, drop=(), **changes) -> bytes:

@@ -12,6 +12,7 @@ import oracles
 from conftest import (
     DEEP_JSON,
     LONG_JSON_INT,
+    pipe_holding,
     random_scorer_params,
     rewrite_checkpoint_header,
     shift_first_tensor_word,
@@ -288,6 +289,14 @@ class TestFormatErrors:
     def test_missing_file_is_os_error(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(str(tmp_path / "ghost.ckpt"))
+
+    def test_pipe_is_refused_naming_the_path(self, tmp_path):
+        """A pipe has no size; loading one ended in an unnamed ``Illegal seek``."""
+        _, data = self._saved(tmp_path)
+        with pipe_holding(data) as path:
+            with pytest.raises(CheckpointFormatError) as err:
+                load_checkpoint(path)
+        assert str(err.value) == f"{path}: not a regular file"
 
 
 class TestVocabCompatibility:

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from conftest import (
     DEEP_JSON,
     LONG_JSON_INT,
+    pipe_holding,
     rewrite_checkpoint_header,
     separable_corpus,
     shift_first_tensor_word,
@@ -46,7 +48,11 @@ def _refused(argv, code, directory, *kept):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert main(argv) == code
-    lines = err.getvalue().splitlines()
+    return _one_error_line(err.getvalue(), directory, *kept)
+
+
+def _one_error_line(stderr, directory, *kept):
+    lines = stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert sorted(p.name for p in directory.iterdir()) == sorted(kept)
     return lines[0]
@@ -433,7 +439,9 @@ class TestConfigFile:
         ("train-embeddings", "epochs = soon", "option 'epochs' expects int, got 'soon'"),
         ("train-scorer", "fine_tune_embeddings = maybe",
          "option 'fine_tune_embeddings' expects a boolean, got 'maybe'"),
-    ], ids=["int", "boolean"])
+        ("train-embeddings", "format = xml",
+         "option 'format' must be one of ('tsv', 'jsonl'), got 'xml'"),
+    ], ids=["int", "boolean", "choice"])
     def test_bad_value_type_exit_2(self, tmp_path, command, line, message):
         cfg = write_lines(tmp_path / "opts.cfg", [line])
         assert _refused([command, "--config", cfg, "--corpus", "x", "--out", "y"],
@@ -479,6 +487,43 @@ class TestConfigFile:
         assert line == f"error: {cfg}:{at}: line holds a NUL character"
 
 
+class TestFlags:
+    """A flag is converted and refused as its config-file value is: exit 2, one line."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--dim", "x"], "error: --dim: option 'dim' expects int, got 'x'"),
+        (["--lr", "abc"], "error: --lr: option 'lr' expects float, got 'abc'"),
+        (["--format", "xml"],
+         "error: --format: option 'format' must be one of ('tsv', 'jsonl'), got 'xml'"),
+    ], ids=["int", "float", "choice"])
+    def test_bad_value_exit_2(self, tmp_path, flags, message):
+        argv = ["train-embeddings", "--corpus", "x", "--out", str(tmp_path / "y"), *flags]
+        assert _refused(argv, 2, tmp_path) == message
+
+    @pytest.mark.parametrize("argv, names", [
+        (["train-embeddings", "--corpus", "x", "--out", "y", "--bogus"], "--bogus"),
+        (["train-embeddings", "--corpus", "x", "--out", "y", "--dim"], "--dim"),
+        ([], "command"),
+        (["no-such-command"], "no-such-command"),
+    ], ids=["unknown-flag", "flag-without-value", "no-command", "unknown-command"])
+    def test_usage_error_exit_2(self, tmp_path, argv, names):
+        assert names in _refused(argv, 2, tmp_path)
+
+    def test_bad_file_value_refused_under_a_good_flag(self, tmp_path):
+        cfg = write_lines(tmp_path / "opts.cfg", ["dim = x"])
+        line = _refused(["train-embeddings", "--config", cfg, "--corpus", "x", "--out", "y",
+                         "--dim", "4"], 2, tmp_path, "opts.cfg")
+        assert line == f"error: {cfg}: option 'dim' expects int, got 'x'"
+
+    def test_help_exits_0_and_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["score", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--format {tsv,jsonl}" in out
+        assert "--blend {all,min,max,geometric,arithmetic}" in out
+
+
 def _runnable_argv(command, pipeline, tmp_path):
     """``command`` with options it would succeed under, on the pipeline's files."""
     return [command, *{
@@ -521,6 +566,22 @@ class TestInputsEndInExitCodes:
                          "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"],
                         3, tmp_path, "dup.txt")
         assert line == f"error: {emb}:3: token 'a' repeats line 2"
+
+    @pytest.mark.parametrize("command, option", [
+        ("train-scorer", "embeddings"), ("score", "embeddings"), ("score", "checkpoint"),
+    ])
+    def test_piped_input_is_exit_3(self, pipeline, tmp_path, command, option):
+        """A pipe such as ``<(cat v.txt)`` ended in a traceback or an unnamed ``Illegal seek``."""
+        inputs = {"--corpus": pipeline["corpus"], "--embeddings": pipeline["emb"],
+                  "--out": str(tmp_path / "x.ckpt"), "--epochs": "0"}
+        if command == "score":
+            inputs = {"--data": pipeline["annotated"], "--embeddings": pipeline["emb"],
+                      "--checkpoint": pipeline["ckpt"], "--out": str(tmp_path / "s.tsv")}
+        with pipe_holding(Path(inputs[f"--{option}"]).read_bytes()) as path:
+            inputs[f"--{option}"] = path
+            line = _refused([command, *(item for pair in inputs.items() for item in pair)],
+                            3, tmp_path)
+        assert line.startswith(f"error: {path}")
 
     @pytest.mark.parametrize("which", ["corpus", "embeddings", "config", "scores"])
     def test_non_utf8_input_is_exit_3(self, pipeline, tmp_path, which):
@@ -843,6 +904,7 @@ _CONFIG_BASE = {
     "score": dict(format="tsv", max_len="4", blend="all", allow_vocab_mismatch="false"),
     "report": dict(bins="2", jitter_sigma="0.25", seed="0"),
 }
+_SWITCHES = {"fine_tune_embeddings", "allow_vocab_mismatch"}
 _CONFIG_VALUE = st.sampled_from(
     ["", "-1", "0", "1", "3", "0.5", "-0.5", "nan", "inf", "-inf", "1e308", "1e-320",
      "abc", "true", "no", "tsv", "jsonl", "min", "geometric", "all"]
@@ -925,14 +987,28 @@ class TestExitCodeContract:
     @example(command="train-scorer", changes=[("seed", "-1")])
     @example(command="report", changes=[("seed", "-1")])
     @_CONTRACT
+    @pytest.mark.parametrize("via", ["config", "flags"])
     def test_config_values_end_in_a_documented_code(
-        self, contract_files, tmp_path, command, changes
+        self, contract_files, tmp_path, via, command, changes
     ):
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))  # empty, so a refusal writes nothing
         options = dict(_CONFIG_BASE[command])
         options.update((key, value) for key, value in changes if key in options)
-        options.update(_config_paths(command, contract_files, tmp_path))
-        cfg = write_lines(tmp_path / "opts.cfg", [f"{k} = {v}" for k, v in options.items()])
-        assert main([command, "--config", cfg]) in {0, 2, 3, 4, 5}
+        options.update(_config_paths(command, contract_files, out_dir))
+        if via == "config":
+            cfg = write_lines(tmp_path / "opts.cfg", [f"{k} = {v}" for k, v in options.items()])
+            argv = [command, "--config", cfg]
+        else:  # a switch takes no value: any value but the base's "false" turns it on
+            argv = [command]
+            for key, value in options.items():
+                flag = "--" + key.replace("_", "-")
+                argv += ([flag] if value != "false" else []) if key in _SWITCHES else [flag, value]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in {0, 2, 3, 4, 5}
+        if code:
+            _one_error_line(err.getvalue(), out_dir)
 
 
 class TestEntrypoint:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
-from conftest import write_lines
+from conftest import pipe_holding, write_lines
 from ruber.corpus import Dataset, QueryReplyPair, load_pairs
 from ruber.embeddings import (
     load_text_embeddings,
@@ -96,6 +96,13 @@ class TestLoadTextEmbeddings:
         path.write_text("")
         with pytest.raises(ParseError):
             load_text_embeddings(str(path))
+
+    def test_pipe_is_refused_naming_the_path(self):
+        """A pipe cannot be read twice: its second pass ended in ``StopIteration``."""
+        with pipe_holding(b"1 2\na 0.5 0.25\n") as path:
+            with pytest.raises(ParseError) as err:
+                load_text_embeddings(path)
+        assert str(err.value) == f"{path}:1: not a seekable file (a pipe cannot be read twice)"
 
 
 def _random_rows(unk_at):
