@@ -17,7 +17,9 @@ failures, and 5 on checkpoint/vocabulary compatibility refusals.
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -43,7 +45,7 @@ from .errors import (
     RuberError,
     ValidationError,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, check_target
 from .unreferenced import (
     TrainConfig,
     load_checkpoint,
@@ -140,8 +142,9 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_glue_dash_values(argv))
         return _HANDLERS[args.command](_resolve_options(args))
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
@@ -185,6 +188,23 @@ def _build_parser() -> argparse.ArgumentParser:
                              default=argparse.SUPPRESS, help=opt.help, **switch,
                              metavar="{" + ",".join(opt.choices) + "}" if opt.choices else None)
     return parser
+
+
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """``--flag -x`` as ``--flag=-x`` unless ``-x`` is a flag of the command, so that a
+    value such as ``-inf`` reaches :func:`_convert` and is not taken for an option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    valued = {"--" + o.name.replace("_", "-"): o.type is not bool for o in _COMMANDS[argv[0]]}
+    valued.update({"--config": True, "--help": False})
+    out = argv[:1]
+    for token in argv[1:]:  # argparse also takes a unique prefix of a flag for the flag
+        is_flag = token == "-h" or any(f.startswith(token.split("=", 1)[0]) for f in valued)
+        if valued.get(out[-1]) and token.startswith("-") and not is_flag:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:
@@ -263,6 +283,7 @@ def _cmd_train_embeddings(o: dict) -> int:
     started = time.perf_counter()
     options = {name: o[name] for name in _SGNS}
     check_sgns_options(**options)
+    check_target(o["out"])
     dataset = load_pairs(o["corpus"], o["format"])
     vocab, matrix = train_sgns(dataset, **options)
     save_text_embeddings(vocab, matrix, o["out"])
@@ -275,6 +296,9 @@ def _cmd_train_scorer(o: dict) -> int:
     _echo_config("train-scorer", o)
     config = TrainConfig(**{f.name: o[f.name] for f in fields(TrainConfig) if f.name in o})
     config.validate()
+    check_target(o["out"])
+    if config.fine_tune_embeddings:
+        check_target(o["out"] + ".embeddings.txt")
     dataset = load_pairs(o["corpus"], o["format"])
     vocab, matrix = load_text_embeddings(o["embeddings"])
     params, log = train(dataset, vocab, matrix, config)
@@ -297,6 +321,7 @@ def _cmd_train_scorer(o: dict) -> int:
 def _cmd_score(o: dict) -> int:
     if o["max_len"] is not None and o["max_len"] < 1:
         raise ConfigError(f"max_len must be >= 1, got {o['max_len']}")
+    check_target(o["out"])
     dataset = load_annotated(o["data"], o["format"])
     vocab, matrix = load_text_embeddings(o["embeddings"])
     ckpt = load_checkpoint(
@@ -329,6 +354,9 @@ def _cmd_report(o: dict) -> int:
     if o["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {o['seed']}")
     table = scoretable.read_score_table(o["scores"])
+    human = table.human_mean
+    metric_names = [n for n in table.metrics if n not in report_mod.SKIPPED_COLUMNS]
+    _check_report_outputs(o, metric_names)
     rep = report_mod.build_report(table)
     text = report_mod.format_report_text(rep)
     with atomic_write(o["out"]) as fh:
@@ -338,8 +366,6 @@ def _cmd_report(o: dict) -> int:
             fh.write(text)
     print(text, end="")
 
-    human = table.human_mean
-    metric_names = [n for n in table.metrics if n not in report_mod.SKIPPED_COLUMNS]
     if o["quantile_csv"]:
         _write_quantile_csv(o["quantile_csv"], table, metric_names, human, o["bins"])
         print(f"quantile bins written to {o['quantile_csv']}")
@@ -353,6 +379,22 @@ def _cmd_report(o: dict) -> int:
             )
         print(f"scatter CSVs written to {outdir}")
     return EXIT_OK
+
+
+def _check_report_outputs(o: dict, metric_names) -> None:
+    """Refuse every output that cannot be written before the first is, so that
+    a refused report leaves no file behind."""
+    for key in ("out", "text_out", "quantile_csv"):
+        if o[key]:
+            check_target(o[key])
+    if o["scatter_dir"]:
+        outdir = Path(o["scatter_dir"])
+        nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+        if not nearest.is_dir():  # mkdir(parents=True) would fail on it
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), o["scatter_dir"])
+        if nearest == outdir:
+            for name in metric_names:
+                check_target(outdir / f"scatter_{name}.csv")
 
 
 def _write_quantile_csv(path, table, metric_names, human, bins: int) -> None:

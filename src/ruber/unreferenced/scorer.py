@@ -239,28 +239,24 @@ def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, collect=False):
     return h, steps
 
 
-def _token_ids(utterance: Utterance, vocab: Vocabulary, max_len: int) -> list[int]:
-    """Ids of the first ``max_len`` tokens of a non-empty utterance."""
-    if not utterance:
-        raise ValueError("cannot encode an empty utterance")
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    return [vocab.id_of(tok) for tok in utterance[:max_len]]
-
-
-def _encode_ids(ids: list[int], encoder: BiGruEncoder, matrix: np.ndarray, collect=False):
-    """Sentence vector (2H,) of one row of token ids.
+def _encode(utterance: Utterance, encoder: BiGruEncoder, vocab: Vocabulary,
+            matrix: np.ndarray, max_len: int, collect=False):
+    """Sentence vector (2H,) of the first ``max_len`` tokens of a non-empty utterance.
 
     Both directions start from a zero state; the backward one takes the
     steps in reverse.  Returns the vector and, when ``collect`` is set,
     the :class:`EncodeCache` (else None).
     """
+    if not utterance:
+        raise ValueError("cannot encode an empty utterance")
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    ids = [vocab.id_of(tok) for tok in utterance[:max_len]]
     xs = matrix[ids]
     h0 = np.zeros(encoder.hidden_size)
     h_fwd, fwd = _run_rows(xs, encoder.forward, h0, collect)
     h_bwd, bwd = _run_rows(xs[::-1], encoder.backward, h0, collect)
-    vec = np.concatenate([h_fwd, h_bwd])
-    return vec, (EncodeCache(ids, fwd, bwd) if collect else None)
+    return np.concatenate([h_fwd, h_bwd]), (EncodeCache(ids, fwd, bwd) if collect else None)
 
 
 def encode(
@@ -275,36 +271,23 @@ def encode(
     The utterance is truncated to its first ``max_len`` tokens; both
     directions start from a zero state.
     """
-    vec, _ = _encode_ids(_token_ids(utterance, vocab, max_len), encoder, matrix)
-    return vec
+    return _encode(utterance, encoder, vocab, matrix, max_len)[0]
 
 
-def _head(qvec: np.ndarray, rvec: np.ndarray, params: ScorerParams):
-    """Score of one pair's (2H,) query and reply vectors, strictly inside (0, 1).
+def _score_reply(qvec: np.ndarray, reply: Utterance, params: ScorerParams,
+                 vocab: Vocabulary, matrix: np.ndarray, max_len: int, collect: bool):
+    """Score of ``reply`` against the (2H,) query vector ``qvec``, strictly inside (0, 1).
 
-    Returns ``(score, feats, hidden)``: the score, then the (4H+1,) MLP
-    input features and (m,) tanh activations backprop needs.
+    When ``collect`` is set, also returns a :class:`ScoreCache` with no
+    query cache, holding the (4H+1,) MLP input features and (m,) tanh
+    activations backprop needs (else None).
     """
+    rvec, rcache = _encode(reply, params.reply_encoder, vocab, matrix, max_len, collect)
     quad = (qvec @ params.bilinear)[None, :] @ rvec[:, None]
     feats = np.concatenate([qvec, rvec, quad[0]])
     hidden = np.tanh(feats @ params.mlp_hidden_w.T + params.mlp_hidden_b)
     z = float(hidden @ params.mlp_out_w + params.mlp_out_b)
-    return min(max(sigmoid(z, math.tanh), _SCORE_MIN), _SCORE_MAX), feats, hidden
-
-
-def _score_reply(
-    qvec: np.ndarray,
-    reply: Utterance,
-    params: ScorerParams,
-    vocab: Vocabulary,
-    matrix: np.ndarray,
-    max_len: int,
-    collect: bool,
-):
-    """Score of ``reply`` against the (2H,) query vector ``qvec``; the cache has no query."""
-    rvec, rcache = _encode_ids(_token_ids(reply, vocab, max_len), params.reply_encoder,
-                               matrix, collect=collect)
-    score, feats, hidden = _head(qvec, rvec, params)
+    score = min(max(sigmoid(z, math.tanh), _SCORE_MIN), _SCORE_MAX)
     return score, (ScoreCache(None, rcache, feats, hidden, score) if collect else None)
 
 
@@ -321,9 +304,8 @@ def unreferenced_score(
     Not symmetric: query and reply run through different encoders and
     enter the bilinear form on different sides.
     """
-    qvec = encode(query, params.query_encoder, vocab, matrix, max_len)
-    score, _ = _score_reply(qvec, reply, params, vocab, matrix, max_len, collect=False)
-    return score
+    qvec, _ = _encode(query, params.query_encoder, vocab, matrix, max_len)
+    return _score_reply(qvec, reply, params, vocab, matrix, max_len, collect=False)[0]
 
 
 def score_with_cache(
@@ -335,8 +317,7 @@ def score_with_cache(
     max_len: int = TrainConfig.max_len,
 ) -> tuple[float, ScoreCache]:
     """Like :func:`unreferenced_score` but keeps everything backprop needs."""
-    qids = _token_ids(query, vocab, max_len)
-    qvec, qcache = _encode_ids(qids, params.query_encoder, matrix, collect=True)
+    qvec, qcache = _encode(query, params.query_encoder, vocab, matrix, max_len, collect=True)
     score, cache = _score_reply(qvec, reply, params, vocab, matrix, max_len, collect=True)
     cache.query = qcache
     return score, cache

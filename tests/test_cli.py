@@ -410,6 +410,30 @@ class TestReport:
         _refused(["report", "--scores", str(tmp_path / "ghost.tsv"),
                   "--out", str(tmp_path / "x.json")], 3, tmp_path)
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--quantile-csv", "nodir/q.csv", "[Errno 2] No such file or directory"),
+        ("--text-out", "nodir/t.txt", "[Errno 2] No such file or directory"),
+        ("--scatter-dir", "scores.tsv", "[Errno 20] Not a directory"),
+        ("--scatter-dir", "scores.tsv/sub", "[Errno 20] Not a directory"),
+    ], ids=["quantile-csv", "text-out", "scatter-dir", "scatter-dir-under-a-file"])
+    def test_unwritable_output_leaves_no_report_behind(self, pipeline, tmp_path, option,
+                                                       value, message):
+        scores = tmp_path / "scores.tsv"
+        scores.write_bytes(Path(pipeline["scores"]).read_bytes())
+        line = _refused(["report", "--scores", str(scores), "--out", str(tmp_path / "r.json"),
+                         option, str(tmp_path / value)], 3, tmp_path, "scores.tsv")
+        assert line == f"error: {message}: {str(tmp_path / value)!r}"
+
+    def test_scatter_file_that_is_a_directory_leaves_no_report_behind(self, pipeline,
+                                                                      tmp_path):
+        (tmp_path / "scatter" / "scatter_bleu_1.csv").mkdir(parents=True)
+        target = str(tmp_path / "scatter" / "scatter_bleu_1.csv")
+        line = _refused(["report", "--scores", pipeline["scores"],
+                         "--out", str(tmp_path / "r.json"),
+                         "--scatter-dir", str(tmp_path / "scatter")], 3, tmp_path, "scatter")
+        assert line == f"error: [Errno 21] Is a directory: {target!r}"
+        assert [p.name for p in (tmp_path / "scatter").iterdir()] == ["scatter_bleu_1.csv"]
+
 
 class TestConfigFile:
     def test_flags_override_file(self, tmp_path, capsys):
@@ -508,6 +532,20 @@ class TestFlags:
     ], ids=["unknown-flag", "flag-without-value", "no-command", "unknown-command"])
     def test_usage_error_exit_2(self, tmp_path, argv, names):
         assert names in _refused(argv, 2, tmp_path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train-scorer", "--corpus", "x", "--embeddings", "e", "--lr", "-inf"],
+         "error: lr must be positive and finite, got -inf"),
+        (["train-embeddings", "--corpus", "x", "--dim", "-1e3"],
+         "error: --dim: option 'dim' expects int, got '-1e3'"),
+        (["report", "--scores", "x", "--jitter-sigma", "-nan"],
+         "error: jitter_sigma must be finite and >= 0, got nan"),
+        (["train-embeddings", "--corpus", "--out", "y"],
+         "error: argument --corpus: expected one argument"),
+    ], ids=["lr", "dim", "jitter-sigma", "flag-is-no-value"])
+    def test_value_may_begin_with_a_dash(self, tmp_path, argv, message):
+        """A token after a flag is its value unless it is a flag of the command."""
+        assert _refused([*argv, "--out", str(tmp_path / "y")], 2, tmp_path) == message
 
     def test_bad_file_value_refused_under_a_good_flag(self, tmp_path):
         cfg = write_lines(tmp_path / "opts.cfg", ["dim = x"])
@@ -652,6 +690,34 @@ class TestInputsEndInExitCodes:
         line = _refused([*_runnable_argv("report", pipeline, tmp_path), option, value],
                         2, tmp_path)
         assert line.startswith(f"error: {option[2:].replace('-', '_')} must be")
+
+    @pytest.mark.parametrize("command", ["train-embeddings", "train-scorer", "score"])
+    @pytest.mark.parametrize("out, message", [
+        ("nodir/out", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_refused_before_any_input_is_read(self, tmp_path, command,
+                                                                out, message):
+        """The line names the path given, not a temporary file; the inputs do not exist."""
+        (tmp_path / "adir").mkdir()
+        ghost = str(tmp_path / "ghost")
+        inputs = {"train-embeddings": ["--corpus", ghost],
+                  "train-scorer": ["--corpus", ghost, "--embeddings", ghost],
+                  "score": ["--data", ghost, "--embeddings", ghost, "--checkpoint", ghost]}
+        target = str(tmp_path / out)
+        line = _refused([command, *inputs[command], "--out", target], 3, tmp_path, "adir")
+        assert line == f"error: {message}: {target!r}"
+        assert list((tmp_path / "adir").iterdir()) == []
+
+    def test_unwritable_tuned_embeddings_are_refused_before_training(self, tmp_path):
+        """Else the checkpoint was written, and then the fine-tuned vectors failed."""
+        tuned = tmp_path / "s.ckpt.embeddings.txt"
+        tuned.mkdir()
+        ghost = str(tmp_path / "ghost")
+        line = _refused(["train-scorer", "--corpus", ghost, "--embeddings", ghost,
+                         "--out", str(tmp_path / "s.ckpt"), "--fine-tune-embeddings"],
+                        3, tmp_path, tuned.name)
+        assert line == f"error: [Errno 21] Is a directory: {str(tuned)!r}"
 
     def test_non_finite_skip_gram_vectors_are_exit_4(self, pipeline, tmp_path):
         line = _refused(["train-embeddings", "--corpus", pipeline["corpus"],
@@ -823,7 +889,11 @@ class TestInputsEndInExitCodes:
 
 
 _VALID_EMBEDDINGS = b"3 2\na 0.1 0.2\nb -0.3 0.4\n<unk> 0 0.5\n"
-_VALID_CORPUS = b"a b\tb a\nb\ta c\nc a\tb\n"
+_VALID_CORPUS = {
+    "tsv": b"a b\tb a\nb\ta c\nc a\tb\n",
+    "jsonl": b'{"query": "a b", "reply": "b a"}\n{"query": "b", "reply": "a c"}\n'
+             b'{"query": "c a", "reply": "b"}\n',
+}
 
 # None or (kind, position, payload); position wraps modulo the file length
 _MUTATION = st.none() | st.one_of(
@@ -848,7 +918,12 @@ def _mutate(data: bytes, mutation) -> bytes:
     return data[:at] + payload + data[at:]
 
 
-_VALID_ANNOTATED = b"a b\tb\ta c\t1\t2\nc\ta\tb b\t0\t2\nb a c\tc\ta\t2\t1\n"
+_VALID_ANNOTATED = {
+    "tsv": b"a b\tb\ta c\t1\t2\nc\ta\tb b\t0\t2\nb a c\tc\ta\t2\t1\n",
+    "jsonl": b'{"query": "a b", "groundtruth": "b", "candidate": "a c", "scores": [1, 2]}\n'
+             b'{"query": "c", "groundtruth": "a", "candidate": "b b", "scores": [0, 2]}\n'
+             b'{"query": "b a c", "groundtruth": "c", "candidate": "a", "scores": [2, 1]}\n',
+}
 
 # (position, payload): replace one data cell of a score table, position
 # wrapping modulo the number of cells
@@ -881,8 +956,8 @@ def contract_files(tmp_path_factory):
     files = {name: root / name for name in
              ("emb.txt", "corpus.tsv", "annotated.tsv", "scorer.ckpt", "scores.tsv")}
     files["emb.txt"].write_bytes(_VALID_EMBEDDINGS)
-    files["corpus.tsv"].write_bytes(_VALID_CORPUS)
-    files["annotated.tsv"].write_bytes(_VALID_ANNOTATED)
+    files["corpus.tsv"].write_bytes(_VALID_CORPUS["tsv"])
+    files["annotated.tsv"].write_bytes(_VALID_ANNOTATED["tsv"])
     assert main(["train-scorer", "--corpus", str(files["corpus.tsv"]),
                  "--embeddings", str(files["emb.txt"]), "--out", str(files["scorer.ckpt"]),
                  "--epochs", "0", "--hidden", "2", "--mlp-hidden", "2"]) == 0
@@ -923,8 +998,19 @@ def _config_paths(command, files, out_dir):
     }[command]
 
 
+def _ends_in_a_documented_code(argv, out_dir):
+    """Run ``main(argv)``: it succeeds, or it is refused with a README exit
+    code, one ``error:`` line and nothing written to the empty ``out_dir``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5}
+    if code:
+        _one_error_line(err.getvalue(), out_dir)
+
+
 # Inputs such as lr=1e308 or weights near the float32 limit overflow on
-# their way to exit 4; the contract is about exit codes, so numpy's
+# their way to exit 4; the contract is about how a run ends, so numpy's
 # overflow warnings stay warnings here.
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestExitCodeContract:
@@ -934,13 +1020,42 @@ class TestExitCodeContract:
     def test_mutated_inputs_end_in_a_documented_code(self, tmp_path, emb, corpus):
         emb_path, corpus_path = tmp_path / "emb.txt", tmp_path / "corpus.tsv"
         emb_path.write_bytes(_mutate(_VALID_EMBEDDINGS, emb))
-        corpus_path.write_bytes(_mutate(_VALID_CORPUS, corpus))
-        code = main([
+        corpus_path.write_bytes(_mutate(_VALID_CORPUS["tsv"], corpus))
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))  # empty, so a refusal writes nothing
+        _ends_in_a_documented_code([
             "train-scorer", "--corpus", str(corpus_path), "--embeddings", str(emb_path),
-            "--out", str(tmp_path / "x.ckpt"),
+            "--out", str(out_dir / "x.ckpt"),
             "--epochs", "0", "--hidden", "2", "--mlp-hidden", "2",
-        ])
-        assert code in {0, 2, 3, 4, 5}
+        ], out_dir)
+
+    @given(corpus=_MUTATION)
+    @_CONTRACT
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_mutated_embedding_corpus_ends_in_a_documented_code(self, tmp_path, fmt, corpus):
+        corpus_path = tmp_path / f"corpus.{fmt}"
+        corpus_path.write_bytes(_mutate(_VALID_CORPUS[fmt], corpus))
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        _ends_in_a_documented_code([
+            "train-embeddings", "--corpus", str(corpus_path), "--format", fmt,
+            "--out", str(out_dir / "v.txt"), "--dim", "2", "--window", "1",
+            "--negatives", "1", "--epochs", "1", "--min-count", "1",
+        ], out_dir)
+
+    @given(data=_MUTATION, emb=_MUTATION, allow=st.booleans())
+    @_CONTRACT
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_mutated_score_inputs_end_in_a_documented_code(
+        self, contract_files, tmp_path, fmt, data, emb, allow
+    ):
+        data_path, emb_path = tmp_path / f"annotated.{fmt}", tmp_path / "emb.txt"
+        data_path.write_bytes(_mutate(_VALID_ANNOTATED[fmt], data))
+        emb_path.write_bytes(_mutate(_VALID_EMBEDDINGS, emb))
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        _ends_in_a_documented_code([
+            "score", "--data", str(data_path), "--format", fmt, "--embeddings", str(emb_path),
+            "--checkpoint", contract_files["scorer.ckpt"], "--out", str(out_dir / "s.tsv"),
+            *(["--allow-vocab-mismatch"] if allow else []),
+        ], out_dir)
 
     @given(mutation=_MUTATION, header=st.none() | st.tuples(
         st.sampled_from(["hidden", "mlp_hidden", "max_len", "seed", "margin", "lr",
@@ -956,12 +1071,12 @@ class TestExitCodeContract:
             data = rewrite_checkpoint_header(data, **dict([header]))
         ckpt = tmp_path / "x.ckpt"
         ckpt.write_bytes(_mutate(data, mutation))
-        code = main([
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        _ends_in_a_documented_code([
             "score", "--data", contract_files["annotated.tsv"],
             "--embeddings", contract_files["emb.txt"], "--checkpoint", str(ckpt),
-            "--out", str(tmp_path / "scores.tsv"),
-        ])
-        assert code in {0, 2, 3, 4, 5}
+            "--out", str(out_dir / "scores.tsv"),
+        ], out_dir)
 
     @given(mutation=_MUTATION, cell=st.none() | _CELL)
     @example(mutation=None, cell=(0, "99999999999999999999999"))
@@ -974,9 +1089,10 @@ class TestExitCodeContract:
             data = _replace_cell(data, cell)
         table = tmp_path / "scores.tsv"
         table.write_bytes(_mutate(data, mutation))
-        code = main(["report", "--scores", str(table), "--out", str(tmp_path / "r.json"),
-                     "--quantile-csv", str(tmp_path / "q.csv")])
-        assert code in {0, 2, 3, 4, 5}
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
+        _ends_in_a_documented_code(["report", "--scores", str(table),
+                                    "--out", str(out_dir / "r.json"),
+                                    "--quantile-csv", str(out_dir / "q.csv")], out_dir)
 
     @given(command=st.sampled_from(sorted(_CONFIG_BASE)), changes=st.lists(
         st.tuples(st.sampled_from(sorted({k for opts in _CONFIG_BASE.values() for k in opts})),
@@ -991,7 +1107,7 @@ class TestExitCodeContract:
     def test_config_values_end_in_a_documented_code(
         self, contract_files, tmp_path, via, command, changes
     ):
-        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))  # empty, so a refusal writes nothing
+        out_dir = Path(tempfile.mkdtemp(dir=tmp_path))
         options = dict(_CONFIG_BASE[command])
         options.update((key, value) for key, value in changes if key in options)
         options.update(_config_paths(command, contract_files, out_dir))
@@ -1003,12 +1119,7 @@ class TestExitCodeContract:
             for key, value in options.items():
                 flag = "--" + key.replace("_", "-")
                 argv += ([flag] if value != "false" else []) if key in _SWITCHES else [flag, value]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in {0, 2, 3, 4, 5}
-        if code:
-            _one_error_line(err.getvalue(), out_dir)
+        _ends_in_a_documented_code(argv, out_dir)
 
 
 class TestEntrypoint:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ruber.embeddings import save_text_embeddings
-from ruber.fileio import atomic_write
+from ruber.fileio import atomic_write, check_target
 from ruber.vocabulary import Vocabulary
 
 
@@ -47,3 +47,48 @@ def test_missing_directory_is_os_error(tmp_path):
         with atomic_write(tmp_path / "absent" / "out.txt") as fh:
             fh.write("x")
     assert os.listdir(tmp_path) == []
+
+
+def test_missing_directory_names_the_target(tmp_path):
+    path = tmp_path / "absent" / "out.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        with atomic_write(path) as fh:
+            fh.write("x")
+    assert exc.value.filename == str(path)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
+
+
+def test_directory_target_names_the_target_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "adir"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        with atomic_write(path, binary=True) as fh:
+            fh.write(b"x")
+    assert exc.value.filename == str(path) and exc.value.filename2 is None
+    assert os.listdir(tmp_path) == ["adir"]
+    assert os.listdir(path) == []
+
+
+@pytest.mark.parametrize("name", ["absent/out.txt", "afile/out.txt", "afile/sub/out.txt",
+                                  "adir"])
+def test_check_target_raises_what_the_write_would(tmp_path, name):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept\n")
+    path = tmp_path / name
+    with pytest.raises(OSError) as checked:
+        check_target(path)
+    with pytest.raises(OSError) as written:
+        with atomic_write(path) as fh:
+            fh.write("x")
+    assert type(checked.value) is type(written.value)
+    assert str(checked.value) == str(written.value)
+    assert checked.value.filename == str(path)
+    assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+
+
+def test_check_target_accepts_a_new_or_existing_file(tmp_path):
+    (tmp_path / "old.txt").write_text("old\n")
+    check_target(tmp_path / "old.txt")
+    check_target(tmp_path / "new.txt")
+    check_target("relative-name.txt")
+    assert os.listdir(tmp_path) == ["old.txt"]

@@ -183,13 +183,13 @@ class TestComputeGradients:
         rng, vocab, matrix, params, config, _ = self._setup(60)
         batch = [_random_triple(rng) for _ in range(_SUB_BATCH + 3)]
         encoders = []
-        encode_ids = scorer._encode_ids
+        encode = scorer._encode
 
-        def counting(ids, encoder, *args, **kwargs):
+        def counting(utterance, encoder, *args, **kwargs):
             encoders.append(encoder)
-            return encode_ids(ids, encoder, *args, **kwargs)
+            return encode(utterance, encoder, *args, **kwargs)
 
-        monkeypatch.setattr(scorer, "_encode_ids", counting)
+        monkeypatch.setattr(scorer, "_encode", counting)
         compute_gradients(batch, params, vocab, matrix, config)
         assert sum(e is params.query_encoder for e in encoders) == len(batch)
         assert sum(e is params.reply_encoder for e in encoders) == 2 * len(batch)
