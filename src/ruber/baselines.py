@@ -25,9 +25,9 @@ def bleu(candidate: Utterance, reference: Utterance, n: int = 4) -> float:
 
     log_sum = 0.0
     for k in range(1, n + 1):
-        cand_counts = _ngram_counts(candidate, k)
-        ref_counts = _ngram_counts(reference, k)
-        clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        cand, ref = (Counter(zip(*(tokens[i:] for i in range(k))))
+                     for tokens in (candidate, reference))
+        clipped = sum((cand & ref).values())  # each k-gram counted at most as often as in ref
         total = len(candidate) - k + 1
         if clipped == 0:
             return 0.0
@@ -38,19 +38,21 @@ def bleu(candidate: Utterance, reference: Utterance, n: int = 4) -> float:
 
 
 def lcs_length(a: Utterance, b: Utterance) -> int:
-    """Length of the longest common subsequence of two token lists."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        curr = [0] * (len(b) + 1)
-        for j, tok_b in enumerate(b, start=1):
-            if tok_a == tok_b:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    return prev[-1]
+    """Length of the longest common subsequence of two token lists.
+
+    Bit-parallel over ``b``'s positions (Crochemore et al. 2001; Hyyrö 2004): after each
+    token of ``a``, the zero bits of ``v`` mark where the DP row ``LCS(a[:i], b[:j])`` steps
+    up by one in ``j``, so the LCS is their count.
+    """
+    masks: dict[str, int] = {}
+    for j, tok in enumerate(b):
+        masks[tok] = masks.get(tok, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
+    for tok in a:
+        u = v & masks.get(tok, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: Utterance, reference: Utterance) -> float:
@@ -70,6 +72,3 @@ def rouge_l(candidate: Utterance, reference: Utterance) -> float:
     recall = lcs / len(reference)
     return 2.0 * precision * recall / (precision + recall)
 
-
-def _ngram_counts(tokens: Utterance, k: int) -> Counter:
-    return Counter(tuple(tokens[i:i + k]) for i in range(len(tokens) - k + 1))

@@ -16,7 +16,6 @@ failures, and 5 on checkpoint/vocabulary compatibility refusals.
 
 from __future__ import annotations
 
-import argparse
 import errno
 import inspect
 import os
@@ -65,7 +64,7 @@ _BLEND_CHOICES = ("all",) + tuple(s.value for s in BlendStrategy)
 
 @dataclass(frozen=True)
 class _Opt:
-    name: str                 # dest name, underscores
+    name: str                 # option name, underscores
     type: type = str
     default: object = None
     required: bool = False
@@ -83,6 +82,7 @@ _SGNS = _keyword_defaults(train_sgns)
 _BINS = _keyword_defaults(analysis.quantile_bins)
 _SCATTER = _keyword_defaults(analysis.scatter_points)
 
+_CONFIG = _Opt("config", help="key=value option file")
 _FORMAT = _Opt("format", str, default="tsv", choices=FORMATS, help="corpus layout")
 
 _COMMON_CORPUS = (
@@ -144,8 +144,11 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(_glue_dash_values(argv))
-        return _HANDLERS[args.command](_resolve_options(args))
+        if {"-h", "--help"} & set(argv):  # never a flag's value, so help wins wherever it is
+            print("\n\n".join(map(_help, argv[:1] if argv[0] in _COMMANDS else _COMMANDS)))
+            return EXIT_OK
+        command, texts = _split_argv(argv)
+        return _HANDLERS[command](_resolve_options(command, texts))
     except ConfigError as exc:
         return _fail(exc, EXIT_CONFIG)
     except (ParseError, ValidationError, CheckpointFormatError, OSError,
@@ -166,67 +169,63 @@ def _fail(exc: Exception, code: int) -> int:
     return code
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses a usage error like any other bad option: one ``error:`` line, exit 2."""
-
-    def error(self, message):
-        raise ConfigError(message)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(  # add_parser builds the subparsers with this class too
-        prog="ruber",
-        description="Referenced + unreferenced blended evaluation for dialog replies",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, opts in _COMMANDS.items():
-        sub = subparsers.add_parser(command)
-        sub.add_argument("--config", default=None, help="key=value option file")
-        for opt in opts:  # argparse only collects text; _convert makes every value
-            switch = dict(action="store_const", const="true") if opt.type is bool else {}
-            sub.add_argument("--" + opt.name.replace("_", "-"), dest=opt.name,
-                             default=argparse.SUPPRESS, help=opt.help, **switch,
-                             metavar="{" + ",".join(opt.choices) + "}" if opt.choices else None)
-    return parser
+def _split_argv(argv: list[str]) -> tuple[str, dict[str, str]]:
+    """``argv`` as its command and each flag's text by option name. A flag is written in
+    full; without ``=text`` a switch reads ``true``; another takes the next token, not a flag."""
+    if not argv:
+        raise ConfigError("the following arguments are required: command")
+    command = argv[0]
+    if command not in _COMMANDS:
+        raise ConfigError(f"argument command: invalid choice: {command!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    opts = {_flag(opt.name): opt for opt in (_CONFIG, *_COMMANDS[command])}
+    texts = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        if flag not in opts:
+            raise ConfigError(f"unrecognized arguments: {token}")
+        if not eq:
+            text = "true" if opts[flag].type is bool else next(tokens, None)
+            if text is None or text.partition("=")[0] in opts:
+                raise ConfigError(f"argument {flag}: expected one argument")
+        texts[opts[flag].name] = text
+    return command, texts
 
 
-def _glue_dash_values(argv: list[str]) -> list[str]:
-    """``--flag -x`` as ``--flag=-x`` unless ``-x`` is a flag of the command, so that a
-    value such as ``-inf`` reaches :func:`_convert` and is not taken for an option."""
-    if not argv or argv[0] not in _COMMANDS:
-        return argv
-    valued = {"--" + o.name.replace("_", "-"): o.type is not bool for o in _COMMANDS[argv[0]]}
-    valued.update({"--config": True, "--help": False})
-    out = argv[:1]
-    for token in argv[1:]:  # argparse also takes a unique prefix of a flag for the flag
-        is_flag = token == "-h" or any(f.startswith(token.split("=", 1)[0]) for f in valued)
-        if valued.get(out[-1]) and token.startswith("-") and not is_flag:
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+def _help(command: str) -> str:
+    """``command``'s flags with their choices and help."""
+    lines = [f"usage: ruber {command} [--flag value ...]"]
+    for opt in (_CONFIG, *_COMMANDS[command]):
+        value = "{" + ",".join(opt.choices) + "}" if opt.choices else opt.type.__name__.upper()
+        head = _flag(opt.name) + ("" if opt.type is bool else " " + value)
+        lines.append(f"  {head:<24} {opt.help}{' (required)' * opt.required}")
+    return "\n".join(lines)
 
 
-def _resolve_options(args: argparse.Namespace) -> dict:
+def _resolve_options(command: str, texts: dict[str, str]) -> dict:
     """Merge built-in defaults, the config file, and explicit flags."""
-    opts = {opt.name: opt for opt in _COMMANDS[args.command]}
+    opts = {opt.name: opt for opt in _COMMANDS[command]}
     values = {name: opt.default for name, opt in opts.items()}
 
-    if args.config is not None:
-        for key, raw in _read_config_file(args.config).items():
+    if (config := texts.get("config")) is not None:
+        for key, raw in _read_config_file(config).items():
             name = key.replace("-", "_")
             if name not in opts:
-                raise ConfigError(f"{args.config}: unknown option {key!r}")
-            values[name] = _convert(opts[name], raw, args.config)
+                raise ConfigError(f"{config}: unknown option {key!r}")
+            values[name] = _convert(opts[name], raw, config)
 
     for name, opt in opts.items():
-        if hasattr(args, name):
-            values[name] = _convert(opt, getattr(args, name), "--" + name.replace("_", "-"))
+        if name in texts:
+            values[name] = _convert(opt, texts[name], _flag(name))
 
     missing = [name for name, opt in opts.items() if opt.required and values[name] is None]
     if missing:
-        flags = ", ".join("--" + name.replace("_", "-") for name in missing)
-        raise ConfigError(f"missing required option(s): {flags}")
+        raise ConfigError(f"missing required option(s): {', '.join(map(_flag, missing))}")
 
     return values
 

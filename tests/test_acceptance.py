@@ -225,9 +225,10 @@ def test_criterion_05_referenced_metric_properties_hold_at_scale():
 
 def test_criterion_06_overlap_baselines_match_oracles():
     """BLEU and ROUGE-L reproduce their hand-computed values, and the
-    LCS dynamic program agrees with brute-force subsequence enumeration
-    over a 3-token alphabet: exhaustively for every pair with combined
-    length <= 8, plus a seeded random sample at full lengths up to 8."""
+    LCS agrees with brute-force subsequence enumeration over a 3-token
+    alphabet: exhaustively for every pair with combined length <= 8, plus a
+    seeded random sample at full lengths up to 8, plus 80-token sides built
+    from blocks over disjoint alphabets, whose LCS is the sum of the blocks'."""
     sentence = "the cat sat".split()
     assert bleu(sentence, sentence, 1) == 1.0
     assert abs(bleu("the the the".split(), "the cat".split(), 1) - 1 / 3) <= 1e-12
@@ -256,6 +257,14 @@ def test_criterion_06_overlap_baselines_match_oracles():
         cand = [alphabet[int(i)] for i in rng.integers(0, 3, int(rng.integers(1, 9)))]
         ref = [alphabet[int(i)] for i in rng.integers(0, 3, int(rng.integers(1, 9)))]
         assert lcs_length(cand, ref) == brute_force_lcs(cand, ref)
+
+    # A common subsequence takes block i's tokens from block i of both sides, so the
+    # brute force also checks sides longer than one 64-bit word.
+    blocks = [[[f"{alphabet[int(t)]}{i}" for t in rng.integers(0, 3, 8)] for _ in "cr"]
+              for i in range(10)]
+    cand = [tok for c, _ in blocks for tok in c]
+    ref = [tok for _, r in blocks for tok in r]
+    assert lcs_length(cand, ref) == sum(brute_force_lcs(c, r) for c, r in blocks)
 
 
 def test_criterion_07_correlation_statistics_match_high_precision():

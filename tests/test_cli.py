@@ -23,8 +23,9 @@ from conftest import (
     splice_checkpoint_header,
     write_lines,
 )
-from ruber.cli import main
+from ruber.cli import _COMMANDS, _split_argv, main
 from ruber.embeddings import load_text_embeddings, save_text_embeddings, train_sgns
+from ruber.errors import ConfigError
 from ruber.scoretable import read_score_table
 from ruber.unreferenced import TrainConfig, load_checkpoint
 
@@ -540,9 +541,11 @@ class TestFlags:
          "error: --dim: option 'dim' expects int, got '-1e3'"),
         (["report", "--scores", "x", "--jitter-sigma", "-nan"],
          "error: jitter_sigma must be finite and >= 0, got nan"),
+        (["train-scorer", "--corpus", "x", "--embeddings", "e", "--lr=-inf"],
+         "error: lr must be positive and finite, got -inf"),
         (["train-embeddings", "--corpus", "--out", "y"],
          "error: argument --corpus: expected one argument"),
-    ], ids=["lr", "dim", "jitter-sigma", "flag-is-no-value"])
+    ], ids=["lr", "dim", "jitter-sigma", "lr-with-equals", "flag-is-no-value"])
     def test_value_may_begin_with_a_dash(self, tmp_path, argv, message):
         """A token after a flag is its value unless it is a flag of the command."""
         assert _refused([*argv, "--out", str(tmp_path / "y")], 2, tmp_path) == message
@@ -553,13 +556,67 @@ class TestFlags:
                          "--dim", "4"], 2, tmp_path, "opts.cfg")
         assert line == f"error: {cfg}: option 'dim' expects int, got 'x'"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-scorer", "--corpus", "x", "--embeddings", "e", "--l", "-inf"], "--l"),
+        (["report", "--scores", "x", "--b", "3"], "--b"),
+    ], ids=["lr", "bins"])
+    def test_flag_is_written_in_full(self, tmp_path, argv, flag):
+        """A prefix of a flag is no flag: ``--l -inf`` once read as ``--lr`` without a value."""
+        assert _refused([*argv, "--out", str(tmp_path / "y")], 2, tmp_path) == \
+            f"error: unrecognized arguments: {flag}"
+
+    @pytest.mark.parametrize("argv, texts", [
+        (["score", "--blend", "min", "--blend=max"], {"blend": "max"}),
+        (["score", "--allow-vocab-mismatch"], {"allow_vocab_mismatch": "true"}),
+        (["score", "--allow-vocab-mismatch=no", "--out=a=b"],
+         {"allow_vocab_mismatch": "no", "out": "a=b"}),
+        (["report", "--config", "-c.cfg", "--text-out", ""], {"config": "-c.cfg", "text_out": ""}),
+    ], ids=["last-wins", "switch", "switch-with-text", "dash-and-empty-values"])
+    def test_split_argv(self, argv, texts):
+        assert _split_argv(argv) == (argv[0], texts)
+
+    @given(st.lists(st.sampled_from([
+        "train-scorer", "score", "--lr", "--l", "--lr=", "--fine-tune-embeddings",
+        "--fine-tune-embeddings=x", "--config", "-inf", "-", "--", "--x=", "=", "", "1",
+    ]), max_size=6))
+    def test_split_argv_refuses_only_with_config_error(self, argv):
+        """No argv leaves the splitter but as a command with option texts or a ConfigError."""
+        try:
+            command, texts = _split_argv(argv)
+        except ConfigError:
+            return
+        assert set(texts) <= {"config", *(opt.name for opt in _COMMANDS[command])}
+
+    def test_switch_takes_a_boolean_text(self, tmp_path, capsys):
+        corpus, emb, _, _ = _write_training_corpus(tmp_path, n=40)
+        argv = ["train-scorer", "--corpus", corpus, "--embeddings", emb, "--epochs", "0",
+                "--hidden", "3", "--mlp-hidden", "4", "--out", str(tmp_path / "s.ckpt")]
+        assert main([*argv, "--fine-tune-embeddings=false"]) == 0
+        assert load_checkpoint(str(tmp_path / "s.ckpt")).config.fine_tune_embeddings is False
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "s.ckpt", "train.tsv"]
+        (tmp_path / "s.ckpt").unlink()
+        assert _refused([*argv, "--fine-tune-embeddings=maybe"], 2, tmp_path,
+                        "emb.txt", "train.tsv") == ("error: --fine-tune-embeddings: option "
+                                                    "'fine_tune_embeddings' expects a boolean, "
+                                                    "got 'maybe'")
+
     def test_help_exits_0_and_lists_the_choices(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["score", "--help"])
-        assert exc.value.code == 0
+        assert main(["score", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--format {tsv,jsonl}" in out
         assert "--blend {all,min,max,geometric,arithmetic}" in out
+        for flag in ("--config", "--data", "--embeddings", "--checkpoint", "--out",
+                     "--max-len", "--allow-vocab-mismatch"):
+            assert flag in out
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["train-scorer", "--lr", "-h"]])
+    def test_help_anywhere_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        commands = ("train-embeddings", "train-scorer", "score", "report")
+        shown = commands if argv[0] != "train-scorer" else ("train-scorer",)
+        for command in commands:
+            assert (f"usage: ruber {command} " in out) == (command in shown)
 
 
 def _runnable_argv(command, pipeline, tmp_path):
