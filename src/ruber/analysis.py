@@ -230,10 +230,12 @@ def check_bins(k: int) -> None:
         raise ConfigError(f"bins must be >= 1, got {k}")
 
 
-def check_sigma(sigma: float) -> None:
-    """Raise :class:`~ruber.errors.ConfigError` on an unusable scatter jitter."""
+def check_scatter(sigma: float, seed: int) -> None:
+    """Raise :class:`~ruber.errors.ConfigError` on an unusable scatter jitter or seed."""
     if not 0 <= sigma < math.inf:  # chained so that NaN and infinity fail too
         raise ConfigError(f"jitter_sigma must be finite and >= 0, got {sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def quantile_bins(human, metric, k: int = 5) -> np.ndarray:
@@ -262,7 +264,7 @@ def scatter_points(human, metric, sigma: float = 0.25, seed: int = 0) -> np.ndar
     returns the inputs exactly.
     """
     human, metric = _vector_pair(human, metric)
-    check_sigma(sigma)
+    check_scatter(sigma, seed)
     rng = np.random.default_rng(seed)
     jittered = human + rng.normal(0.0, sigma, human.shape)
     return np.column_stack([jittered, metric])

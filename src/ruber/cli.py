@@ -11,7 +11,9 @@ Every option can also come from a ``key=value`` config file passed with
 ``--config``; explicit flags override file values.  All commands are
 deterministic given their flags and seed, and exit with 0 on success,
 2 on configuration errors, 3 on I/O or data errors, 4 on numerical
-failures, and 5 on checkpoint/vocabulary compatibility refusals.
+failures, 5 on checkpoint/vocabulary compatibility refusals (each the
+``exit_code`` of the error class raised), and 141 when stdout is closed
+before the run has finished writing to it.
 """
 
 from __future__ import annotations
@@ -35,15 +37,7 @@ from .embeddings import (
     save_text_embeddings,
     train_sgns,
 )
-from .errors import (
-    CheckpointFormatError,
-    CompatibilityError,
-    ConfigError,
-    NumericalError,
-    ParseError,
-    RuberError,
-    ValidationError,
-)
+from .errors import CompatibilityError, ConfigError, RuberError
 from .fileio import atomic_write, check_target
 from .unreferenced import (
     TrainConfig,
@@ -53,11 +47,7 @@ from .unreferenced import (
     vocab_content_hash,
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_NUMERICAL = 4
-EXIT_COMPAT = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head -1`
 
 _BLEND_CHOICES = ("all",) + tuple(s.value for s in BlendStrategy)
 
@@ -146,27 +136,23 @@ def main(argv=None) -> int:
     try:
         if {"-h", "--help"} & set(argv):  # never a flag's value, so help wins wherever it is
             print("\n\n".join(map(_help, argv[:1] if argv[0] in _COMMANDS else _COMMANDS)))
-            return EXIT_OK
-        command, texts = _split_argv(argv)
-        return _HANDLERS[command](_resolve_options(command, texts))
-    except ConfigError as exc:
-        return _fail(exc, EXIT_CONFIG)
-    except (ParseError, ValidationError, CheckpointFormatError, OSError,
-            UnicodeDecodeError) as exc:
-        return _fail(exc, EXIT_IO)
-    except NumericalError as exc:
-        return _fail(exc, EXIT_NUMERICAL)
-    except CompatibilityError as exc:
-        return _fail(exc, EXIT_COMPAT)
+        else:
+            command, texts = _split_argv(argv)
+            _HANDLERS[command](_resolve_options(command, texts))
+        sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit
+    except BrokenPipeError:  # only stdout: every output file is a regular temporary first
+        devnull = os.open(os.devnull, os.O_WRONLY)  # as the signal docs advise, so that
+        os.dup2(devnull, sys.stdout.fileno())       # the flush at exit does not raise again
+        os.close(devnull)
+        return EXIT_PIPE
+    except (RuberError, OSError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", RuberError.exit_code)
+    return 0
 
 
 def entrypoint() -> None:
     sys.exit(main())
-
-
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return code
 
 
 def _flag(name: str) -> str:
@@ -277,7 +263,7 @@ def _convert(opt: _Opt, raw: str, source) -> object:
 # subcommand bodies
 
 
-def _cmd_train_embeddings(o: dict) -> int:
+def _cmd_train_embeddings(o: dict) -> None:
     _echo_config("train-embeddings", o)
     started = time.perf_counter()
     options = {name: o[name] for name in _SGNS}
@@ -288,10 +274,9 @@ def _cmd_train_embeddings(o: dict) -> int:
     save_text_embeddings(vocab, matrix, o["out"])
     duration = time.perf_counter() - started
     print(f"vocab={len(vocab)} dim={o['dim']} duration={duration:.2f}s")
-    return EXIT_OK
 
 
-def _cmd_train_scorer(o: dict) -> int:
+def _cmd_train_scorer(o: dict) -> None:
     _echo_config("train-scorer", o)
     config = TrainConfig(**{f.name: o[f.name] for f in fields(TrainConfig) if f.name in o})
     config.validate()
@@ -314,10 +299,9 @@ def _cmd_train_scorer(o: dict) -> int:
         print(f"fine-tuned embeddings written to {tuned_path}")
     print(f"checkpoint written to {o['out']} "
           f"(train={log.train_size} holdout={log.holdout_size})")
-    return EXIT_OK
 
 
-def _cmd_score(o: dict) -> int:
+def _cmd_score(o: dict) -> None:
     if o["max_len"] is not None and o["max_len"] < 1:
         raise ConfigError(f"max_len must be >= 1, got {o['max_len']}")
     check_target(o["out"])
@@ -343,15 +327,12 @@ def _cmd_score(o: dict) -> int:
     scoretable.write_score_table(table, o["out"])
     print(f"scored {table.n_pairs} pairs "
           f"({dataset.skipped} skipped) into {o['out']}")
-    return EXIT_OK
 
 
-def _cmd_report(o: dict) -> int:
+def _cmd_report(o: dict) -> None:
     _echo_config("report", o)
     analysis.check_bins(o["bins"])
-    analysis.check_sigma(o["jitter_sigma"])
-    if o["seed"] < 0:
-        raise ConfigError(f"seed must be >= 0, got {o['seed']}")
+    analysis.check_scatter(o["jitter_sigma"], o["seed"])
     table = scoretable.read_score_table(o["scores"])
     human = table.human_mean
     metric_names = [n for n in table.metrics if n not in report_mod.SKIPPED_COLUMNS]
@@ -377,7 +358,6 @@ def _cmd_report(o: dict) -> int:
                 sigma=o["jitter_sigma"], seed=o["seed"],
             )
         print(f"scatter CSVs written to {outdir}")
-    return EXIT_OK
 
 
 def _check_report_outputs(o: dict, metric_names) -> None:

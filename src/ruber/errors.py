@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes; library callers can catch
-:class:`RuberError` to intercept everything raised deliberately.
+Each class carries the CLI's exit status for it as ``exit_code``, so a
+library caller can reuse the README's codes; catching :class:`RuberError`
+intercepts everything raised deliberately.
 """
 
 from contextlib import contextmanager
@@ -9,6 +10,8 @@ from contextlib import contextmanager
 
 class RuberError(Exception):
     """Base class for all errors raised on purpose by this package."""
+
+    exit_code = 3  # I/O and data errors, and any subclass that states no other
 
 
 class ParseError(RuberError):
@@ -27,9 +30,13 @@ class ValidationError(RuberError):
 class ConfigError(RuberError, ValueError):
     """A configuration value (flag, config-file key or argument) is unusable."""
 
+    exit_code = 2
+
 
 class NumericalError(RuberError):
     """A computation produced non-finite values or otherwise lost meaning."""
+
+    exit_code = 4
 
 
 class CheckpointFormatError(RuberError):
@@ -38,6 +45,8 @@ class CheckpointFormatError(RuberError):
 
 class CompatibilityError(RuberError):
     """A checkpoint does not match the supplied vocabulary or embeddings."""
+
+    exit_code = 5
 
 
 @contextmanager

@@ -18,6 +18,7 @@ from ruber.analysis import (
     spearman,
     write_scatter_csv,
 )
+from ruber.errors import ConfigError
 from ruber.scoretable import ScoreTable
 
 
@@ -310,6 +311,10 @@ class TestScatter:
         for sigma in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 scatter_points(np.zeros(3), np.zeros(3), sigma=sigma)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            scatter_points(np.zeros(3), np.zeros(3), seed=-1)
 
     def test_csv_export(self, tmp_path):
         path = tmp_path / "scatter.csv"

@@ -4,6 +4,7 @@ import contextlib
 import inspect
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -1209,3 +1210,28 @@ class TestEntrypoint:
         [line] = result.stderr.splitlines()
         assert line.startswith("error: epoch 1: ") and "non-finite" in line
         assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "train.tsv"]
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", ["score-help", "report"])
+    def test_closed_stdout_exits_141_quietly(self, pipeline, tmp_path, capsys, command,
+                                             unbuffered):
+        """A reader that closes stdout early (``| head -1``) ends the run with 128 + SIGPIPE,
+        nothing on stderr, and each output file either complete or absent."""
+        out = tmp_path / "report.json"
+        argv = (["score", "--help"] if command == "score-help"
+                else ["report", "--scores", pipeline["scores"], "--out", str(out)])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "ruber", *argv], stdout=write_end,
+                                    stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
+        if out.exists():
+            ordinary = tmp_path / "ordinary.json"
+            assert main(["report", "--scores", pipeline["scores"], "--out", str(ordinary)]) == 0
+            assert out.read_bytes() == ordinary.read_bytes()
