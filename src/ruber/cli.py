@@ -141,14 +141,23 @@ def main(argv=None) -> int:
             _HANDLERS[command](_resolve_options(command, texts))
         sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit
     except BrokenPipeError:  # only stdout: every output file is a regular temporary first
-        devnull = os.open(os.devnull, os.O_WRONLY)  # as the signal docs advise, so that
-        os.dup2(devnull, sys.stdout.fileno())       # the flush at exit does not raise again
-        os.close(devnull)
+        _to_devnull(sys.stdout)
         return EXIT_PIPE
     except (RuberError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr is closed too: the line is lost, the status is not
+            _to_devnull(sys.stderr)
         return getattr(exc, "exit_code", RuberError.exit_code)
     return 0
+
+
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so its flush at exit cannot raise."""
+    fd, devnull = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+    if devnull != fd:  # a closed ``fd`` is the lowest free one, so open may reuse it
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def entrypoint() -> None:

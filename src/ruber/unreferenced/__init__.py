@@ -8,8 +8,6 @@ from .config import TrainConfig
 from .gradients import compute_gradients, margin_loss
 from .scorer import (
     ScorerParams,
-    encode,
-    gru_step,
     init_scorer_params,
     sigmoid,
     unreferenced_score,
@@ -23,8 +21,6 @@ __all__ = [
     "TrainConfig",
     "adam_step",
     "compute_gradients",
-    "encode",
-    "gru_step",
     "init_scorer_params",
     "load_checkpoint",
     "margin_loss",

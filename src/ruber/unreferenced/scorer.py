@@ -178,18 +178,6 @@ def init_scorer_params(
     return _scorer_layout(embed_dim, hidden, mlp_hidden, leaf)
 
 
-def gru_step(x_t: np.ndarray, h_prev: np.ndarray, params: GruParams) -> np.ndarray:
-    """One GRU state update.
-
-    Stacked reset/update gates from the input and previous state, a
-    candidate state computed against the reset-scaled previous state,
-    and a convex blend of old state and candidate driven by the update
-    gate.  This is a one-step call into :func:`_run_rows`.
-    """
-    h, _ = _run_rows(np.reshape(x_t, (1, -1)), params, h_prev)
-    return h
-
-
 @dataclass
 class EncodeCache:
     """One row's token ids and the step record of each GRU direction.
@@ -218,7 +206,10 @@ class ScoreCache:
 def _run_rows(xs: np.ndarray, params: GruParams, h: np.ndarray, collect=False):
     """Run one GRU direction over one row's inputs ``xs`` (T, d) from state ``h`` (H,).
 
-    The input projections of all steps are one product each; the
+    The GRU cell: stacked reset and update gates from the input and the
+    previous state, a candidate against the reset-scaled previous state,
+    and a convex blend of old state and candidate driven by the update
+    gate.  The input projections of all steps are one product each; the
     recurrence is a per-step loop.  Returns the final state and, when
     ``collect`` is set, the (T, 4H) step record laid out as in
     :class:`EncodeCache` (else None).
@@ -257,21 +248,6 @@ def _encode(utterance: Utterance, encoder: BiGruEncoder, vocab: Vocabulary,
     h_fwd, fwd = _run_rows(xs, encoder.forward, h0, collect)
     h_bwd, bwd = _run_rows(xs[::-1], encoder.backward, h0, collect)
     return np.concatenate([h_fwd, h_bwd]), (EncodeCache(ids, fwd, bwd) if collect else None)
-
-
-def encode(
-    utterance: Utterance,
-    encoder: BiGruEncoder,
-    vocab: Vocabulary,
-    matrix: np.ndarray,
-    max_len: int = TrainConfig.max_len,
-) -> np.ndarray:
-    """Sentence vector: final forward state followed by final backward state.
-
-    The utterance is truncated to its first ``max_len`` tokens; both
-    directions start from a zero state.
-    """
-    return _encode(utterance, encoder, vocab, matrix, max_len)[0]
 
 
 def _score_reply(qvec: np.ndarray, reply: Utterance, params: ScorerParams,

@@ -17,7 +17,7 @@ class Vocabulary:
     def __init__(self, tokens: Iterable[str]):
         id_to_token = [UNK_TOKEN]
         for tok in tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if tok.split() != [tok]:
                 raise ValueError(f"token {tok!r} is empty or contains whitespace")
             if tok == UNK_TOKEN:
                 raise ValueError(f"{UNK_TOKEN!r} is reserved and added implicitly")

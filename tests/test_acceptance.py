@@ -34,13 +34,12 @@ from ruber.referenced import referenced_score
 from ruber.unreferenced import (
     TrainConfig,
     compute_gradients,
-    encode,
-    gru_step,
     init_scorer_params,
     margin_loss,
     train,
     unreferenced_score,
 )
+from ruber.unreferenced.scorer import _encode, _run_rows
 from ruber.vocabulary import Vocabulary
 
 
@@ -108,7 +107,7 @@ def test_criterion_01_gradients_match_finite_differences():
 
 
 def test_criterion_02_forward_pass_matches_scalar_oracle():
-    """gru_step, encode and unreferenced_score agree with an independent
+    """_run_rows, _encode and unreferenced_score agree with an independent
     scalar-loop re-implementation to 1e-10 on 100 random instances."""
     rng = np.random.default_rng(20240102)
     for _ in range(100):
@@ -125,12 +124,13 @@ def test_criterion_02_forward_pass_matches_scalar_oracle():
             x.tolist(), h_prev.tolist(), *_gru_params_as_lists(direction)
         )
         np.testing.assert_allclose(
-            gru_step(x, h_prev, direction), expected, atol=1e-10, rtol=0
+            _run_rows(np.reshape(x, (1, -1)), direction, h_prev)[0], expected,
+            atol=1e-10, rtol=0,
         )
 
         utterance = _utterance(rng, 8, 6)
         np.testing.assert_allclose(
-            encode(utterance, params.query_encoder, vocab, matrix, max_len=6),
+            _encode(utterance, params.query_encoder, vocab, matrix, max_len=6)[0],
             scalar_encode(utterance, params.query_encoder, vocab, matrix, max_len=6),
             atol=1e-10, rtol=0,
         )

@@ -1235,3 +1235,33 @@ class TestEntrypoint:
             ordinary = tmp_path / "ordinary.json"
             assert main(["report", "--scores", pipeline["scores"], "--out", str(ordinary)]) == 0
             assert out.read_bytes() == ordinary.read_bytes()
+
+    @pytest.mark.parametrize("stderr", ["buffered-pipe", "unbuffered-pipe", "closed"])
+    @pytest.mark.parametrize("command, status", [("no-such-command", 2), ("train-scorer", 3)])
+    def test_refusal_keeps_its_status_when_stderr_cannot_be_written(self, tmp_path, command,
+                                                                    status, stderr):
+        """Only the ``error:`` line is lost: a pipe whose reader has gone, or a
+        descriptor closed under the running program, leaves the exit status."""
+        out = tmp_path / "s.ckpt"
+        argv = [command]
+        if command == "train-scorer":  # the corpus is missing
+            argv += ["--corpus", str(tmp_path / "absent.tsv"),
+                     "--embeddings", str(tmp_path / "absent.txt"), "--out", str(out)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if stderr == "unbuffered-pipe":
+            env["PYTHONUNBUFFERED"] = "1"
+        if stderr == "closed":
+            code = ("import os, sys; os.close(2); from ruber.cli import entrypoint; "
+                    f"sys.argv[1:] = {argv!r}; entrypoint()")
+            result = subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                                    env=env)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                result = subprocess.run([sys.executable, "-m", "ruber", *argv],
+                                        stdout=subprocess.DEVNULL, stderr=write_end, env=env)
+            finally:
+                os.close(write_end)
+        assert result.returncode == status
+        assert list(tmp_path.iterdir()) == []

@@ -53,6 +53,14 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary([""])
 
+    @pytest.mark.parametrize("token", ["a\x1cb", "\x85", "a\u3000b"])
+    def test_rejects_unicode_whitespace(self, token):
+        with pytest.raises(ValueError, match="is empty or contains whitespace"):
+            Vocabulary([token])
+
+    def test_zero_width_space_is_not_whitespace(self):
+        assert len(Vocabulary(["a\u200bb"])) == 2
+
     def test_round_trip_and_equality(self):
         vocab = Vocabulary(["x", "y", "z"])
         assert [vocab.tokens[vocab.id_of(t)] for t in ["x", "y", "z"]] == ["x", "y", "z"]

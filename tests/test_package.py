@@ -1,5 +1,6 @@
 """The package namespaces: what they export, and the README's library example."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -27,8 +28,6 @@ EXPORTS = {
         "TrainConfig",
         "adam_step",
         "compute_gradients",
-        "encode",
-        "gru_step",
         "init_scorer_params",
         "load_checkpoint",
         "margin_loss",
@@ -41,6 +40,42 @@ EXPORTS = {
         "zero_scorer_params",
     },
 }
+
+
+def _named(tree):
+    """Each name the module spells, with the top-level statement that spells it.
+
+    A name is an ``ast.Name``, or an attribute of a module bound by
+    ``from . import``.
+    """
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+               for alias in node.names}
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, stmt
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                yield node.attr, stmt
+
+
+def test_every_public_helper_has_a_caller_in_the_program():
+    """A public top-level function or class of a module is named elsewhere in
+    ``src/ruber``; only the library names and the console entry point are exempt."""
+    spellers, defined = {}, []
+    for path in sorted(Path(ruber.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, stmt in _named(tree):
+            spellers.setdefault(name, []).append(stmt)
+        if path.name != "__init__.py":
+            defined += [stmt for stmt in tree.body
+                        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                        and not stmt.name.startswith("_")]
+    exempt = EXPORTS["ruber"] | {"entrypoint"}
+    uncalled = sorted(d.name for d in defined if d.name not in exempt
+                      and all(s is d for s in spellers.get(d.name, [])))
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("package", sorted(EXPORTS))

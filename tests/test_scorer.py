@@ -7,14 +7,13 @@ from numpy.testing import assert_allclose
 import oracles
 from conftest import random_scorer_params, random_utterance, toy_vocab_matrix
 from ruber.unreferenced import (
-    encode,
-    gru_step,
+    TrainConfig,
     init_scorer_params,
     sigmoid,
     unreferenced_score,
     zero_scorer_params,
 )
-from ruber.unreferenced.scorer import GruParams, _run_rows
+from ruber.unreferenced.scorer import GruParams, _encode, _run_rows
 
 
 def _zero_gru(hidden=3, dim=4):
@@ -51,11 +50,11 @@ class TestSigmoid:
 class TestGruStep:
     def test_zero_params_halve_state(self):
         h_prev = np.array([0.2, -0.4, 1.0])
-        out = gru_step(np.ones(4), h_prev, _zero_gru())
+        out = _run_rows(np.reshape(np.ones(4), (1, -1)), _zero_gru(), h_prev)[0]
         assert_allclose(out, 0.5 * h_prev, atol=0)
 
     def test_zero_params_zero_state(self):
-        out = gru_step(np.ones(4), np.zeros(3), _zero_gru())
+        out = _run_rows(np.reshape(np.ones(4), (1, -1)), _zero_gru(), np.zeros(3))[0]
         assert_allclose(out, np.zeros(3), atol=0)
 
     def test_matches_scalar_oracle(self):
@@ -64,7 +63,7 @@ class TestGruStep:
             params = _random_gru(rng, 3, 4)
             x = rng.normal(0, 1, 4)
             h = rng.normal(0, 1, 3)
-            got = gru_step(x, h, params)
+            got = _run_rows(np.reshape(x, (1, -1)), params, h)[0]
             want = oracles.scalar_gru_step(
                 x.tolist(), h.tolist(), *oracles._gru_params_as_lists(params)
             )
@@ -72,7 +71,8 @@ class TestGruStep:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            gru_step(np.ones(5), np.zeros(3), _zero_gru(hidden=3, dim=4))
+            _run_rows(np.reshape(np.ones(5), (1, -1)), _zero_gru(hidden=3, dim=4),
+                      np.zeros(3))[0]
 
 
 class TestEncode:
@@ -80,7 +80,7 @@ class TestEncode:
         rng = np.random.default_rng(32)
         vocab, matrix = toy_vocab_matrix(rng)
         params = zero_scorer_params(4, 3, 5)
-        out = encode(["t0", "t1"], params.query_encoder, vocab, matrix)
+        out = _encode(["t0", "t1"], params.query_encoder, vocab, matrix, TrainConfig.max_len)[0]
         assert_allclose(out, np.zeros(6), atol=0)
 
     def test_single_token_with_tied_directions(self):
@@ -89,7 +89,7 @@ class TestEncode:
         direction = _random_gru(rng, 3, 4)
         from ruber.unreferenced.scorer import BiGruEncoder
         encoder = BiGruEncoder(direction, direction)
-        out = encode(["t2"], encoder, vocab, matrix)
+        out = _encode(["t2"], encoder, vocab, matrix, TrainConfig.max_len)[0]
         assert_allclose(out[:3], out[3:], atol=0)
 
     def test_matches_scalar_oracle(self):
@@ -97,7 +97,7 @@ class TestEncode:
         vocab, matrix = toy_vocab_matrix(rng, n_tokens=8, dim=3)
         params = random_scorer_params(3, 2, 4, rng)
         utterance = ["t0", "t3", "t7"]
-        got = encode(utterance, params.query_encoder, vocab, matrix)
+        got = _encode(utterance, params.query_encoder, vocab, matrix, TrainConfig.max_len)[0]
         want = oracles.scalar_encode(utterance, params.query_encoder, vocab, matrix)
         assert_allclose(got, want, atol=1e-12)
 
@@ -106,8 +106,8 @@ class TestEncode:
         vocab, matrix = toy_vocab_matrix(rng)
         params = random_scorer_params(4, 3, 5, rng)
         long = [f"t{i % 8}" for i in range(12)]
-        truncated = encode(long, params.query_encoder, vocab, matrix, max_len=4)
-        explicit = encode(long[:4], params.query_encoder, vocab, matrix, max_len=4)
+        truncated = _encode(long, params.query_encoder, vocab, matrix, max_len=4)[0]
+        explicit = _encode(long[:4], params.query_encoder, vocab, matrix, max_len=4)[0]
         assert_allclose(truncated, explicit, atol=0)
 
     def test_empty_utterance_rejected(self):
@@ -115,14 +115,14 @@ class TestEncode:
         vocab, matrix = toy_vocab_matrix(rng)
         params = zero_scorer_params(4, 3, 5)
         with pytest.raises(ValueError):
-            encode([], params.query_encoder, vocab, matrix)
+            _encode([], params.query_encoder, vocab, matrix, TrainConfig.max_len)[0]
 
     def test_max_len_below_one_rejected(self):
         rng = np.random.default_rng(37)
         vocab, matrix = toy_vocab_matrix(rng)
         params = zero_scorer_params(4, 3, 5)
         with pytest.raises(ValueError):
-            encode(["t0"], params.query_encoder, vocab, matrix, max_len=0)
+            _encode(["t0"], params.query_encoder, vocab, matrix, max_len=0)[0]
 
 
 class TestUnreferencedScore:
@@ -208,7 +208,7 @@ class TestPaddedRows:
                 ["t5", "t0", "t2", "t2", "t1", "t3", "t4"]]
         vecs = oracles.padded_encode(rows, params.reply_encoder, vocab, matrix, max_len=6)
         for row, vec in zip(rows, vecs):
-            want = encode(row, params.reply_encoder, vocab, matrix, max_len=6)
+            want = _encode(row, params.reply_encoder, vocab, matrix, max_len=6)[0]
             assert np.max(np.abs(vec - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_state_is_zero_before_a_row_starts_and_frozen_after_it_ends(self):
