@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import atomic_write
+from .fileio import atomic_write, fixed6_lines
 
 _BETA_CF_MAX_ITER = 300
 _BETA_CF_EPS = 3e-16
@@ -275,5 +275,5 @@ def write_scatter_csv(path, human, metric, sigma: float, seed: int) -> None:
     points = scatter_points(human, metric, sigma, seed)
     with atomic_write(path) as fh:
         fh.write("human,metric\n")
-        for h, m in points:
-            fh.write(f"{h:.6f},{m:.6f}\n")
+        for line in fixed6_lines(points, ","):
+            fh.write(line + "\n")

@@ -13,7 +13,7 @@ deterministic given their flags and seed, and exit with 0 on success,
 2 on configuration errors, 3 on I/O or data errors, 4 on numerical
 failures, 5 on checkpoint/vocabulary compatibility refusals (each the
 ``exit_code`` of the error class raised), and 141 when stdout is closed
-before the run has finished writing to it.
+before the run has finished writing to it, or was closed when it started.
 """
 
 from __future__ import annotations
@@ -139,13 +139,16 @@ def main(argv=None) -> int:
         else:
             command, texts = _split_argv(argv)
             _HANDLERS[command](_resolve_options(command, texts))
+        if sys.stdout is None:  # fd 1 was closed at start, so print wrote nothing
+            return EXIT_PIPE
         sys.stdout.flush()  # so that a closed stdout raises here, not at interpreter exit
     except BrokenPipeError:  # only stdout: every output file is a regular temporary first
         _to_devnull(sys.stdout)
         return EXIT_PIPE
     except (RuberError, OSError, UnicodeDecodeError) as exc:
         try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
+            if sys.stderr is not None:  # fd 2 closed at start; print(file=None) means stdout
+                print(f"error: {exc}", file=sys.stderr, flush=True)
         except OSError:  # stderr is closed too: the line is lost, the status is not
             _to_devnull(sys.stderr)
         return getattr(exc, "exit_code", RuberError.exit_code)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Dataset, build_vocab, utterances_of
 from .errors import ConfigError, NumericalError, ParseError, ValidationError, allocating
-from .fileio import atomic_write
+from .fileio import atomic_write, fixed6_lines
 from .unreferenced.scorer import sigmoid
 from .vocabulary import UNK_TOKEN, Vocabulary
 
@@ -105,13 +105,13 @@ def save_text_embeddings(vocab: Vocabulary, matrix: np.ndarray, path) -> None:
         raise ValueError(
             f"matrix shape {matrix.shape} does not match vocabulary of size {len(vocab)}"
         )
-    if not np.all(np.isfinite(matrix)):
+    # a nan or inf cell shows in min or max, with no mask the size of the matrix
+    if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
         raise ValueError("matrix contains non-finite values")
-    fmt = " ".join(["%.6f"] * matrix.shape[1])
     with atomic_write(path) as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for tok, row in zip(vocab.tokens, matrix):
-            fh.write(tok + " " + fmt % tuple(row.tolist()) + "\n")
+        for tok, line in zip(vocab, fixed6_lines(matrix, " ")):
+            fh.write(tok + " " + line + "\n")
 
 
 def train_sgns(

@@ -19,7 +19,7 @@ from .baselines import bleu, rouge_l
 from .blending import BlendStrategy, blend_series, normalize
 from .corpus import VALID_SCORES, Dataset
 from .errors import NumericalError, ParseError
-from .fileio import atomic_write
+from .fileio import atomic_write, fixed6_lines
 from .referenced import referenced_score
 from .unreferenced import ScorerParams, TrainConfig, unreferenced_score
 from .vocabulary import Vocabulary
@@ -136,7 +136,6 @@ def write_score_table(table: ScoreTable, path) -> None:
     """Serialize a score table as tab-separated text with comment headers."""
     k = table.n_annotators
     names = [f"human_{i + 1}" for i in range(k)] + ["human_mean"] + list(table.metrics)
-    human_mean = table.human_mean
     with atomic_write(path) as fh:
         fh.write("# score table\n")
         fh.write(f"# source: {table.source}\n")
@@ -144,11 +143,9 @@ def write_score_table(table: ScoreTable, path) -> None:
         for name, (lo, hi) in table.normalization.items():
             fh.write(f"# normalization: {name} min={lo!r} max={hi!r}\n")
         fh.write("\t".join(names) + "\n")
-        for i in range(table.n_pairs):
-            cells = [str(int(v)) for v in table.human_scores[i]]
-            cells.append(f"{human_mean[i]:.6f}")
-            cells.extend(f"{table.metrics[m][i]:.6f}" for m in table.metrics)
-            fh.write("\t".join(cells) + "\n")
+        floats = np.column_stack([table.human_mean, *table.metrics.values()])
+        for scores, line in zip(table.human_scores.tolist(), fixed6_lines(floats, "\t")):
+            fh.write("\t".join(map(str, map(int, scores))) + "\t" + line + "\n")
 
 
 def read_score_table(path) -> ScoreTable:

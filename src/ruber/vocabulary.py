@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 UNK_TOKEN = "<unk>"
 
@@ -35,6 +35,10 @@ class Vocabulary:
         if not isinstance(other, Vocabulary):
             return NotImplemented
         return self._id_to_token == other._id_to_token
+
+    def __iter__(self) -> Iterator[str]:
+        """The tokens in id order, the unknown token first, without a copy of the list."""
+        return iter(self._id_to_token)
 
     @property
     def tokens(self) -> list[str]:

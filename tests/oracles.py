@@ -11,7 +11,10 @@ earlier numpy implementation of the scorer's backward pass,
 written with left-padded rows, :func:`listed_scorer_init`, the
 scorer's initializer as it was written out tensor by tensor, and
 :func:`per_field_save_checkpoint`, the checkpoint writer as it packed
-each header field with its own ``struct.pack``.
+each header field with its own ``struct.pack``, and the float-table writers
+:func:`per_cell_save_text_embeddings`, :func:`per_cell_write_score_table`
+and :func:`per_cell_write_scatter_csv`, as they formatted each ``%.6f``
+cell with its own Python format call.
 """
 
 from __future__ import annotations
@@ -762,3 +765,47 @@ def per_field_save_checkpoint(params, config, vocab_hash, path):
             for dim in quantized.shape:
                 fh.write(struct.pack("<I", dim))
             fh.write(quantized.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# frozen per-cell float-table writers
+
+
+def per_cell_save_text_embeddings(vocab, matrix, path):
+    """The embedding writer that rendered each row with one ``%`` format per cell."""
+    matrix = np.asarray(matrix, dtype=float)
+    fmt = " ".join(["%.6f"] * matrix.shape[1])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
+        for tok, row in zip(vocab.tokens, matrix):
+            fh.write(tok + " " + fmt % tuple(row.tolist()) + "\n")
+
+
+def per_cell_write_score_table(table, path):
+    """The score-table writer that rendered each float cell with its own f-string."""
+    k = table.n_annotators
+    names = [f"human_{i + 1}" for i in range(k)] + ["human_mean"] + list(table.metrics)
+    human_mean = table.human_mean
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# score table\n")
+        fh.write(f"# source: {table.source}\n")
+        fh.write(f"# annotators: {k}\n")
+        for name, (lo, hi) in table.normalization.items():
+            fh.write(f"# normalization: {name} min={lo!r} max={hi!r}\n")
+        fh.write("\t".join(names) + "\n")
+        for i in range(table.n_pairs):
+            cells = [str(int(v)) for v in table.human_scores[i]]
+            cells.append(f"{human_mean[i]:.6f}")
+            cells.extend(f"{table.metrics[m][i]:.6f}" for m in table.metrics)
+            fh.write("\t".join(cells) + "\n")
+
+
+def per_cell_write_scatter_csv(path, human, metric, sigma, seed):
+    """The scatter writer that rendered each point with one f-string."""
+    from ruber.analysis import scatter_points
+
+    points = scatter_points(human, metric, sigma, seed)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("human,metric\n")
+        for h, m in points:
+            fh.write(f"{h:.6f},{m:.6f}\n")

@@ -1180,6 +1180,14 @@ class TestExitCodeContract:
         _ends_in_a_documented_code(argv, out_dir)
 
 
+def _started_with_closed_fd(fd, argv, **kwargs):
+    """``python -m ruber *argv`` in an interpreter started with ``fd`` already closed,
+    so that its ``sys.stdout`` (fd 1) or ``sys.stderr`` (fd 2) is None."""
+    code = (f"import os, sys; os.close({fd}); "
+            f"os.execv(sys.executable, [sys.executable, '-m', 'ruber', *{argv!r}])")
+    return subprocess.run([sys.executable, "-c", code], **kwargs)
+
+
 class TestEntrypoint:
     def test_module_invocation(self):
         result = subprocess.run(
@@ -1264,4 +1272,32 @@ class TestEntrypoint:
             finally:
                 os.close(write_end)
         assert result.returncode == status
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["help", "score-help", "report"])
+    def test_stdout_closed_at_start_exits_141_quietly(self, pipeline, tmp_path, command):
+        """Nothing reaches a stdout closed before the run began: the run ends with 141
+        and an empty stderr, and an output file it writes is complete."""
+        out = tmp_path / "report.json"
+        argv = {"help": ["--help"], "score-help": ["score", "--help"],
+                "report": ["report", "--scores", pipeline["scores"], "--out", str(out)]}[command]
+        result = _started_with_closed_fd(1, argv, stderr=subprocess.PIPE)
+        assert (result.returncode, result.stderr) == (141, b"")
+        if command == "report":
+            ordinary = tmp_path / "ordinary.json"
+            assert main(["report", "--scores", pipeline["scores"], "--out", str(ordinary)]) == 0
+            assert out.read_bytes() == ordinary.read_bytes()
+
+    @pytest.mark.parametrize("command, status", [("no-such-command", 2), ("train-scorer", 3)])
+    def test_stderr_closed_at_start_drops_the_line_and_keeps_the_status(self, tmp_path,
+                                                                       command, status):
+        """The ``error:`` line of a refusal is lost, not printed on stdout."""
+        argv = [command]
+        if command == "train-scorer":  # the corpus is missing
+            argv += ["--corpus", str(tmp_path / "absent.tsv"),
+                     "--embeddings", str(tmp_path / "absent.txt"),
+                     "--out", str(tmp_path / "s.ckpt")]
+        result = _started_with_closed_fd(2, argv, stdout=subprocess.PIPE)
+        assert result.returncode == status
+        assert b"error:" not in result.stdout
         assert list(tmp_path.iterdir()) == []

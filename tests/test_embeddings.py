@@ -235,6 +235,21 @@ class TestSaveTextEmbeddings:
                           for tok, row in zip(vocab.tokens, matrix)]
         assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
+    def test_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        """The rows are rendered a block at a time: no copy of the matrix, its
+        finiteness mask or the token list is made."""
+        def peak(rows):
+            vocab = Vocabulary([f"w{i}" for i in range(rows - 1)])
+            matrix = np.random.default_rng(rows).normal(0, 1, (rows, 100))
+            tracemalloc.start()
+            try:
+                save_text_embeddings(vocab, matrix, tmp_path / f"{rows}.txt")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(16_000) - peak(4_000)) < 64 * 1024
+
     def test_save_load_save_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(4)
         vocab = Vocabulary(["a", "b", "c"])

@@ -1,12 +1,17 @@
-"""Atomic output files: a failed write leaves the previous file intact."""
+"""Atomic output files: a failed write leaves the previous file intact.  The float
+tables: ``fixed6_lines`` and the three writers that use it give the bytes of a
+per-cell ``%.6f``."""
 
 import os
 
 import numpy as np
 import pytest
 
+import oracles
+from ruber.analysis import write_scatter_csv
 from ruber.embeddings import save_text_embeddings
-from ruber.fileio import atomic_write, check_target
+from ruber.fileio import _BLOCK_CELLS, atomic_write, check_target, fixed6_lines
+from ruber.scoretable import ScoreTable, write_score_table
 from ruber.vocabulary import Vocabulary
 
 
@@ -92,3 +97,84 @@ def test_check_target_accepts_a_new_or_existing_file(tmp_path):
     check_target(tmp_path / "new.txt")
     check_target("relative-name.txt")
     assert os.listdir(tmp_path) == ["old.txt"]
+
+
+_NAN, _INF = float("nan"), float("inf")
+# signed zeros, values that round to a signed zero, exact ties, products that land
+# on a tie or beside one, magnitudes past the integer kernel, the smallest subnormal,
+# and every non-finite value
+EDGE_VALUES = [
+    0.0, -0.0, 4e-7, -4e-7, 1 / 128, 3 / 128, -1 / 128,
+    *[(k + 0.5) / 1e6 for k in range(-50, 50)],
+    0.9999995, 1e9, -1e9, 4.5e9, 1e17, -1e300, 5e-324,
+    _NAN, -_NAN, _INF, -_INF,
+]
+SCALES = [1e-4, 1.0, 1e5, 1e9]
+# one column, one row, no rows, and a row count that is not a multiple of a block
+SHAPES = [(40, 1), (1, 7), (0, 3), (2 * (_BLOCK_CELLS // 3) + 5, 3)]
+
+
+def _per_cell_lines(values, sep):
+    return [sep.join("%.6f" % v for v in row) for row in np.asarray(values).tolist()]
+
+
+class TestFixed6Lines:
+    @pytest.mark.parametrize("sep", [" ", "\t", ",", " | "])
+    def test_edge_values_as_a_row_and_as_a_column(self, sep):
+        row = np.array([EDGE_VALUES])
+        for values in (row, row.T):
+            assert list(fixed6_lines(values, sep)) == _per_cell_lines(values, sep)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_random_normals(self, shape, scale):
+        values = np.random.default_rng(29).normal(0.0, scale, shape)
+        assert list(fixed6_lines(values, ",")) == _per_cell_lines(values, ",")
+
+
+class TestAgainstPerCellWriters:
+    """Each float-table writer against its frozen per-cell copy in ``oracles``."""
+
+    def _same_embeddings(self, tmp_path, matrix):
+        vocab = Vocabulary([f"w{i}" for i in range(len(matrix) - 1)])
+        save_text_embeddings(vocab, matrix, tmp_path / "new.txt")
+        oracles.per_cell_save_text_embeddings(vocab, matrix, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+    def _same_score_table(self, tmp_path, columns):
+        rng = np.random.default_rng(30)
+        table = ScoreTable(rng.integers(0, 3, (len(columns), 3)),
+                           {f"m{j}": column for j, column in enumerate(columns.T)},
+                           {"m0": (-1.5, 2.25)}, "edge.tsv")
+        write_score_table(table, tmp_path / "new.tsv")
+        oracles.per_cell_write_score_table(table, tmp_path / "old.tsv")
+        assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
+    def _same_scatter(self, tmp_path, metric):
+        human = np.random.default_rng(31).integers(0, 3, len(metric)).astype(float)
+        write_scatter_csv(tmp_path / "new.csv", human, metric, 0.25, 7)
+        oracles.per_cell_write_scatter_csv(tmp_path / "old.csv", human, metric, 0.25, 7)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_edge_values(self, tmp_path):
+        edges = np.array(EDGE_VALUES)
+        finite = edges[np.isfinite(edges)]  # the embedding writer refuses the others
+        self._same_embeddings(tmp_path, finite[:, None])
+        self._same_embeddings(tmp_path, np.vstack([finite, finite[::-1]]))
+        self._same_score_table(tmp_path, np.column_stack([edges, edges[::-1]]))
+        self._same_scatter(tmp_path, edges)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_random_normals(self, tmp_path, scale):
+        rng = np.random.default_rng(32)
+        for shape in SHAPES:
+            values = rng.normal(0.0, scale, shape)
+            if len(values):  # an embedding file always holds the unknown row
+                self._same_embeddings(tmp_path, values)
+            self._same_score_table(tmp_path, values)
+            self._same_scatter(tmp_path, values[:, 0])
+
+    def test_nan_cells_across_blocks(self, tmp_path):
+        values = np.random.default_rng(33).random((3000, 14))
+        values[::7, 12] = _NAN
+        self._same_score_table(tmp_path, values)
