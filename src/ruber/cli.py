@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # only stdout: every output file is a regular temporary first
         _to_devnull(sys.stdout)
         return EXIT_PIPE
-    except (RuberError, OSError, UnicodeDecodeError) as exc:
+    except (RuberError, OSError, UnicodeError) as exc:
         try:
             if sys.stderr is not None:  # fd 2 closed at start; print(file=None) means stdout
                 print(f"error: {exc}", file=sys.stderr, flush=True)

@@ -48,6 +48,8 @@ _UNSAFE_IN_NAMES = frozenset(",/\x00")
 # a scatter file's temporary name ".scatter_<name>.csv.<8 hex>.tmp" must fit
 # the 255 bytes a file name may hold
 _MAX_NAME_BYTES = 255 - len(".scatter_.csv.01234567.tmp")
+# rows stacked and formatted at a time, so a write holds no second copy of the table
+_WRITE_ROWS = 256
 
 
 @dataclass
@@ -143,9 +145,13 @@ def write_score_table(table: ScoreTable, path) -> None:
         for name, (lo, hi) in table.normalization.items():
             fh.write(f"# normalization: {name} min={lo!r} max={hi!r}\n")
         fh.write("\t".join(names) + "\n")
-        floats = np.column_stack([table.human_mean, *table.metrics.values()])
-        for scores, line in zip(table.human_scores.tolist(), fixed6_lines(floats, "\t")):
-            fh.write("\t".join(map(str, map(int, scores))) + "\t" + line + "\n")
+        columns = [table.human_mean, *table.metrics.values()]
+        for start in range(0, table.n_pairs, _WRITE_ROWS):
+            rows = slice(start, start + _WRITE_ROWS)
+            floats = np.column_stack([column[rows] for column in columns])
+            for scores, line in zip(table.human_scores[rows].tolist(),
+                                    fixed6_lines(floats, "\t")):
+                fh.write("\t".join(map(str, scores)) + "\t" + line + "\n")
 
 
 def read_score_table(path) -> ScoreTable:

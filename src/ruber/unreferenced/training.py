@@ -89,10 +89,9 @@ def adam_step(
 
     Each tensor is walked in memory order by one buffered ``np.nditer``
     over the tensor, its gradient and its two moments, in chunks of at
-    most :data:`_ADAM_BLOCK` elements.  Each chunk runs the operations of
-    the one-expression update in the same order through two flat scratch
-    arrays, so a step holds no temporary the size of the embedding matrix
-    and every float is the same to the bit.
+    most :data:`_ADAM_BLOCK` elements.  Each chunk runs the one-expression
+    update, so every temporary holds at most one chunk, none the size of
+    the embedding matrix, and every float is the same to the bit.
     """
     pairs = [(arr, grad) for (_, arr), (_, grad)
              in zip(params.tensors(), grads.scorer.tensors())]
@@ -103,30 +102,17 @@ def adam_step(
     state.t += 1
     c1 = 1.0 - config.beta1 ** state.t
     c2 = 1.0 - config.beta2 ** state.t
-    size = min(_ADAM_BLOCK, max(arr.size for arr, _ in pairs))
-    scratch = np.empty(size), np.empty(size)
     for (arr, grad), m, v in zip(pairs, state.m, state.v):
         # leaving the context writes any buffered chunk back to the tensor
         with np.nditer([arr, grad, m, v], ["external_loop", "buffered", "zerosize_ok"],
                        [["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
                        buffersize=_ADAM_BLOCK) as chunks:
             for a, g, mb, vb in chunks:
-                tmp, step = scratch[0][:a.size], scratch[1][:a.size]
                 mb *= config.beta1
-                np.multiply(1.0 - config.beta1, g, out=tmp)
-                mb += tmp
+                mb += (1.0 - config.beta1) * g
                 vb *= config.beta2
-                np.multiply(1.0 - config.beta2, g, out=tmp)
-                tmp *= g
-                vb += tmp
-                # lr * (m / c1) / (sqrt(v / c2) + eps)
-                np.divide(vb, c2, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp += config.eps
-                np.divide(mb, c1, out=step)
-                step *= config.lr
-                step /= tmp
-                a -= step
+                vb += (1.0 - config.beta2) * g * g
+                a -= (mb / c1) * config.lr / (np.sqrt(vb / c2) + config.eps)
 
 
 def train(

@@ -513,7 +513,7 @@ def loop_compute_gradients(batch, params, vocab, matrix, config):
 
     Returns ``(scorer_grads, embedding_grads_or_None, mean_loss)``.
     """
-    from ruber.unreferenced import zero_scorer_params
+    from ruber.unreferenced.scorer import zero_scorer_params
 
     grads = zero_scorer_params(params.embed_dim, params.hidden_size, params.mlp_size)
     emb_grad = np.zeros_like(matrix) if config.fine_tune_embeddings else None

@@ -31,14 +31,8 @@ from ruber.cli import main
 from ruber.analysis import pearson, spearman
 from ruber.embeddings import save_text_embeddings
 from ruber.referenced import referenced_score
-from ruber.unreferenced import (
-    TrainConfig,
-    compute_gradients,
-    init_scorer_params,
-    margin_loss,
-    train,
-    unreferenced_score,
-)
+from ruber.unreferenced import TrainConfig, init_scorer_params, train, unreferenced_score
+from ruber.unreferenced.gradients import compute_gradients, margin_loss
 from ruber.unreferenced.scorer import _encode, _run_rows
 from ruber.vocabulary import Vocabulary
 
@@ -398,14 +392,14 @@ def test_criterion_10_missing_ngrams_flow_through_as_undefined(tmp_path, capsys)
     assert main(["report", "--scores", scores, "--out", report_json,
                  "--text-out", report_text]) == 0
 
-    table = Path(scores).read_text()
+    table = Path(scores).read_text(encoding="utf-8")
     assert "nan" in table
-    payload = json.loads(Path(report_json).read_text())
+    payload = json.loads(Path(report_json).read_text(encoding="utf-8"))
     for metric in ("bleu_2", "bleu_3", "bleu_4"):
         row = payload["rows"][metric]
         assert row["pearson_r"] is None
         assert row["n_used"] == 0
-    text = Path(report_text).read_text()
+    text = Path(report_text).read_text(encoding="utf-8")
     bleu4_line = next(line for line in text.splitlines()
                       if line.startswith("bleu_4"))
     assert "undefined" in bleu4_line

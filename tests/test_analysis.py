@@ -320,7 +320,7 @@ class TestScatter:
         path = tmp_path / "scatter.csv"
         write_scatter_csv(path, np.array([1.0, 2.0]), np.array([0.25, 0.75]),
                           sigma=0.0, seed=0)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "human,metric"
         assert lines[1] == "1.000000,0.250000"
         assert len(lines) == 3

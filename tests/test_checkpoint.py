@@ -159,7 +159,7 @@ class TestFormatErrors:
 
     def test_text_file_refused_without_reading_it(self, tmp_path):
         bad = tmp_path / "corpus.txt"
-        bad.write_text("what is the weather like today ?\n" * (1 << 18))
+        bad.write_text("what is the weather like today ?\n" * (1 << 18), encoding="utf-8")
         assert bad.stat().st_size >= 8 << 20
         tracemalloc.start()
         try:

@@ -369,10 +369,10 @@ class TestReport:
             "report", "--scores", pipeline["scores"], "--out", out,
             "--text-out", text_out,
         ]) == 0
-        payload = json.loads(Path(out).read_text())
+        payload = json.loads(Path(out).read_text(encoding="utf-8"))
         assert payload["n_pairs"] == 12
         printed = capsys.readouterr().out
-        body = Path(text_out).read_text()
+        body = Path(text_out).read_text(encoding="utf-8")
         assert body in printed
         assert "ruber_arithmetic" in body
 
@@ -385,7 +385,7 @@ class TestReport:
             "--quantile-csv", qcsv, "--scatter-dir", str(sdir),
             "--bins", "3", "--seed", "5",
         ]) == 0
-        lines = Path(qcsv).read_text().splitlines()
+        lines = Path(qcsv).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "metric,bin,mean_human,mean_metric"
         assert any(line.startswith("ref_score,0,") for line in lines)
         made = sorted(p.name for p in sdir.iterdir())
@@ -637,7 +637,7 @@ def _runnable_argv(command, pipeline, tmp_path):
 def _rename_metric(pipeline, tmp_path, name):
     """The pipeline's score table with ``rouge_l`` renamed; returns its path,
     header line and the renamed column (both 1-based)."""
-    lines = Path(pipeline["scores"]).read_text().splitlines()
+    lines = Path(pipeline["scores"]).read_text(encoding="utf-8").splitlines()
     at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     names = lines[at].split("\t")
     col = names.index("rouge_l") + 1
@@ -682,7 +682,7 @@ class TestInputsEndInExitCodes:
     @pytest.mark.parametrize("which", ["corpus", "embeddings", "config", "scores"])
     def test_non_utf8_input_is_exit_3(self, pipeline, tmp_path, which):
         bad = tmp_path / "latin1.txt"
-        bad.write_bytes("caf\u00e9\tna\u00efve\n".encode("latin-1"))
+        bad.write_bytes("café\tna\u00efve\n".encode("latin-1"))
         inputs = {"--corpus": pipeline["corpus"], "--embeddings": pipeline["emb"],
                   f"--{which}": str(bad)}
         argv = ["train-scorer", "--out", str(tmp_path / "x.ckpt"), "--epochs", "0"]
@@ -863,7 +863,7 @@ class TestInputsEndInExitCodes:
 
     @pytest.mark.parametrize("cell", ["99999999999999999999999", "3", "-1"])
     def test_human_cell_off_the_scale_is_exit_3(self, pipeline, tmp_path, cell):
-        lines = Path(pipeline["scores"]).read_text().splitlines()
+        lines = Path(pipeline["scores"]).read_text(encoding="utf-8").splitlines()
         first = next(i for i, line in enumerate(lines) if line[0].isdigit())
         lines[first] = cell + lines[first][1:]
         table = write_lines(tmp_path / "scores.tsv", lines)
@@ -872,7 +872,7 @@ class TestInputsEndInExitCodes:
         assert f"{table}:{first + 1}:" in line and "{0, 1, 2}" in line
 
     def test_malformed_normalization_comment_is_exit_3(self, pipeline, tmp_path):
-        lines = Path(pipeline["scores"]).read_text().splitlines()
+        lines = Path(pipeline["scores"]).read_text(encoding="utf-8").splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("# normalization:"))
         lines[at] = "# normalization: ref_score min=0"
         table = write_lines(tmp_path / "scores.tsv", lines)
@@ -882,7 +882,7 @@ class TestInputsEndInExitCodes:
 
     def test_misordered_header_is_exit_3(self, pipeline, tmp_path):
         """A column between the annotators and human_mean used to be dropped silently."""
-        lines = Path(pipeline["scores"]).read_text().splitlines()
+        lines = Path(pipeline["scores"]).read_text(encoding="utf-8").splitlines()
         at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         names = lines[at].split("\t")
         k = names.index("human_mean")
@@ -920,7 +920,7 @@ class TestInputsEndInExitCodes:
         ("count", "header has 2 human_i columns but the annotators comment declares 3"),
     ], ids=["mean", "count"])
     def test_inconsistent_human_columns_are_exit_3(self, pipeline, tmp_path, edit, message):
-        lines = Path(pipeline["scores"]).read_text().splitlines()
+        lines = Path(pipeline["scores"]).read_text(encoding="utf-8").splitlines()
         header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
         k = lines[header].split("\t").index("human_mean")
         assert k == 2
@@ -1188,11 +1188,18 @@ def _started_with_closed_fd(fd, argv, **kwargs):
     return subprocess.run([sys.executable, "-c", code], **kwargs)
 
 
+def _run_in_ascii_locale(argv):
+    """``python -m ruber *argv`` in the C locale with UTF-8 mode off: stdout is ASCII."""
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    return subprocess.run([sys.executable, "-m", "ruber", *argv], env=env,
+                          capture_output=True, encoding="utf-8")
+
+
 class TestEntrypoint:
     def test_module_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "ruber", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, encoding="utf-8",
         )
         assert result.returncode == 0
         assert "train-embeddings" in result.stdout
@@ -1200,7 +1207,7 @@ class TestEntrypoint:
     def test_usage_error_is_exit_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "ruber", "no-such-command"],
-            capture_output=True, text=True,
+            capture_output=True, encoding="utf-8",
         )
         assert result.returncode == 2
 
@@ -1212,7 +1219,7 @@ class TestEntrypoint:
              "-m", "ruber", "train-scorer", "--corpus", corpus, "--embeddings", emb,
              "--out", str(tmp_path / "s.ckpt"), "--hidden", "4", "--mlp-hidden", "6",
              "--epochs", "1", "--lr", "1e308"],
-            capture_output=True, text=True,
+            capture_output=True, encoding="utf-8",
         )
         assert result.returncode == 4
         [line] = result.stderr.splitlines()
@@ -1301,3 +1308,30 @@ class TestEntrypoint:
         assert result.returncode == status
         assert b"error:" not in result.stdout
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_the_locale_cannot_encode_is_exit_3(self, tmp_path):
+        """Echoing a config value that the locale's encoding cannot hold is a refusal.
+        The echo comes before the corpus is read, so the corpus need not exist."""
+        config = write_lines(tmp_path / "c.cfg", [
+            f"corpus = {tmp_path / 'é.tsv'}", f"out = {tmp_path / 'vectors.txt'}",
+            "dim = 4", "epochs = 1", "min-count = 1"])
+        result = _run_in_ascii_locale(["train-embeddings", "--config", config])
+        assert result.returncode == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: 'ascii' codec can't encode")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "vectors.txt").exists()
+
+    def test_report_text_the_locale_cannot_encode_is_exit_3(self, pipeline, tmp_path):
+        """The report's text fails at print; the JSON written before it stays complete."""
+        table, _, _ = _rename_metric(pipeline, tmp_path, "rouge_é")
+        out = tmp_path / "r.json"
+        result = _run_in_ascii_locale(["report", "--scores", table, "--out", str(out)])
+        assert result.returncode == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: 'ascii' codec can't encode")
+        assert "Traceback" not in result.stderr
+        ordinary = tmp_path / "ordinary.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["report", "--scores", table, "--out", str(ordinary)]) == 0
+        assert out.read_bytes() == ordinary.read_bytes()

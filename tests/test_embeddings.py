@@ -93,7 +93,7 @@ class TestLoadTextEmbeddings:
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "emb.txt"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(ParseError):
             load_text_embeddings(str(path))
 

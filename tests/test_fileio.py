@@ -17,10 +17,10 @@ from ruber.vocabulary import Vocabulary
 
 def test_success_replaces_file(tmp_path):
     path = tmp_path / "out.txt"
-    path.write_text("old\n")
+    path.write_text("old\n", encoding="utf-8")
     with atomic_write(path) as fh:
         fh.write("new\n")
-    assert path.read_text() == "new\n"
+    assert path.read_text(encoding="utf-8") == "new\n"
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
@@ -78,7 +78,7 @@ def test_directory_target_names_the_target_and_leaves_no_temporary(tmp_path):
                                   "adir"])
 def test_check_target_raises_what_the_write_would(tmp_path, name):
     (tmp_path / "adir").mkdir()
-    (tmp_path / "afile").write_text("kept\n")
+    (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
     path = tmp_path / name
     with pytest.raises(OSError) as checked:
         check_target(path)
@@ -92,7 +92,7 @@ def test_check_target_raises_what_the_write_would(tmp_path, name):
 
 
 def test_check_target_accepts_a_new_or_existing_file(tmp_path):
-    (tmp_path / "old.txt").write_text("old\n")
+    (tmp_path / "old.txt").write_text("old\n", encoding="utf-8")
     check_target(tmp_path / "old.txt")
     check_target(tmp_path / "new.txt")
     check_target("relative-name.txt")

@@ -7,14 +7,8 @@ from numpy.testing import assert_allclose
 import oracles
 from conftest import random_scorer_params, random_utterance, toy_vocab_matrix
 from ruber.errors import NumericalError
-from ruber.unreferenced import (
-    TrainConfig,
-    compute_gradients,
-    margin_loss,
-    unreferenced_score,
-)
-from ruber.unreferenced import gradients, scorer
-from ruber.unreferenced.gradients import _SUB_BATCH
+from ruber.unreferenced import TrainConfig, gradients, scorer, unreferenced_score
+from ruber.unreferenced.gradients import _SUB_BATCH, compute_gradients, margin_loss
 
 
 def _random_triple(rng, vocab_size=8, max_tokens=4):

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import ruber
+import ruber.unreferenced
 from ruber.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
 
 EXPORTS = {
     "ruber": {
@@ -23,21 +25,14 @@ EXPORTS = {
         "unreferenced_score",
     },
     "ruber.unreferenced": {
-        "AdamState",
         "ScorerParams",
         "TrainConfig",
-        "adam_step",
-        "compute_gradients",
         "init_scorer_params",
         "load_checkpoint",
-        "margin_loss",
-        "sample_negative",
         "save_checkpoint",
-        "sigmoid",
         "train",
         "unreferenced_score",
         "vocab_content_hash",
-        "zero_scorer_params",
     },
 }
 
@@ -76,6 +71,24 @@ def test_every_public_helper_has_a_caller_in_the_program():
     uncalled = sorted(d.name for d in defined if d.name not in exempt
                       and all(s is d for s in spellers.get(d.name, [])))
     assert uncalled == []
+
+
+def test_the_subpackage_exports_what_the_program_and_benchmark_import_through_it():
+    """``ruber.unreferenced.__all__`` is the set of names that ``src/ruber``
+    (outside the subpackage's own ``__init__.py``) and ``perfbench/*.py``
+    import through the subpackage, by absolute or relative import."""
+    src = REPO / "src"
+    paths = [p for p in (src / "ruber").rglob("*.py")
+             if p != src / "ruber" / "unreferenced" / "__init__.py"]
+    imported = set()
+    for path in paths + sorted((REPO / "perfbench").glob("*.py")):
+        package = path.parent.relative_to(src).parts if src in path.parents else ()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                base = package[:len(package) + 1 - node.level] if node.level else ()
+                if ".".join([*base, node.module or ""]) == "ruber.unreferenced":
+                    imported |= {alias.name for alias in node.names}
+    assert imported == set(ruber.unreferenced.__all__)
 
 
 @pytest.mark.parametrize("package", sorted(EXPORTS))

@@ -6,14 +6,14 @@ from numpy.testing import assert_allclose
 
 import oracles
 from conftest import random_scorer_params, random_utterance, toy_vocab_matrix
-from ruber.unreferenced import (
-    TrainConfig,
-    init_scorer_params,
+from ruber.unreferenced import TrainConfig, init_scorer_params, unreferenced_score
+from ruber.unreferenced.scorer import (
+    GruParams,
+    _encode,
+    _run_rows,
     sigmoid,
-    unreferenced_score,
     zero_scorer_params,
 )
-from ruber.unreferenced.scorer import GruParams, _encode, _run_rows
 
 
 def _zero_gru(hidden=3, dim=4):

@@ -132,13 +132,26 @@ class TestScoreTableIO:
         for name, (lo, hi) in table.normalization.items():
             assert loaded.normalization[name] == (lo, hi)
 
+    def test_write_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
+        """Rows are stacked and formatted in blocks: only ``human_mean`` grows with them."""
+        peaks = []
+        for n_rows in (3_000, 12_000):
+            table = _big_table(n_rows)
+            tracemalloc.start()
+            try:
+                write_score_table(table, tmp_path / f"{n_rows}.tsv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 128 * 1024
+
     def test_nan_cells_render_and_parse(self, tmp_path):
         dataset, vocab, matrix, params = _setup(tmp_path, seed=111)
         table = compute_score_table(dataset, vocab, matrix, params)
         assert np.any(~np.isfinite(table.metrics["bleu_4"]))  # short candidates
         path = str(tmp_path / "t.tsv")
         write_score_table(table, path)
-        assert "nan" in Path(path).read_text()
+        assert "nan" in Path(path).read_text(encoding="utf-8")
         loaded = read_score_table(path)
         assert np.array_equal(
             np.isnan(table.metrics["bleu_4"]), np.isnan(loaded.metrics["bleu_4"])

@@ -11,17 +11,9 @@ import oracles
 from conftest import random_scorer_params, separable_corpus, toy_vocab_matrix
 from ruber.corpus import Dataset, QueryReplyPair
 from ruber.errors import ConfigError, ValidationError
-from ruber.unreferenced import (
-    AdamState,
-    TrainConfig,
-    adam_step,
-    compute_gradients,
-    init_scorer_params,
-    sample_negative,
-    train,
-    training,
-)
-from ruber.unreferenced.gradients import Gradients
+from ruber.unreferenced import TrainConfig, init_scorer_params, train, training
+from ruber.unreferenced.gradients import Gradients, compute_gradients
+from ruber.unreferenced.training import AdamState, adam_step, sample_negative
 
 
 def _read_only(arr):
@@ -192,7 +184,7 @@ class TestAdamStep:
         assert base[:, 1::2].tobytes() == untouched.tobytes()
 
     def test_traced_peak_does_not_grow_with_the_vocabulary(self):
-        """A step over a 4 MiB matrix allocates only its block-sized scratch."""
+        """A step over a 4 MiB matrix allocates only block-sized temporaries."""
         rng = np.random.default_rng(64)
         params = random_scorer_params(64, 2, 4, rng)
         matrix = rng.normal(0, 1, (8192, 64))
