@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from .corpus import Utterance
 
@@ -24,10 +23,20 @@ def bleu(candidate: Utterance, reference: Utterance, n: int = 4) -> float:
         return float("nan")
 
     log_sum = 0.0
+    cand, ref = candidate, reference  # the k-grams; for k = 1 the tokens themselves
     for k in range(1, n + 1):
-        cand, ref = (Counter(zip(*(tokens[i:] for i in range(k))))
-                     for tokens in (candidate, reference))
-        clipped = sum((cand & ref).values())  # each k-gram counted at most as often as in ref
+        if k > 1:  # each (k-1)-gram extended by the token after it
+            cand = list(zip(cand, candidate[k - 1:]))
+            ref = list(zip(ref, reference[k - 1:]))
+        left: dict = {}
+        for gram in ref:
+            left[gram] = left.get(gram, 0) + 1
+        clipped = 0  # each k-gram counted at most as often as in ref
+        for gram in cand:
+            count = left.get(gram, 0)
+            if count:
+                left[gram] = count - 1
+                clipped += 1
         total = len(candidate) - k + 1
         if clipped == 0:
             return 0.0

@@ -38,7 +38,7 @@ from .embeddings import (
     train_sgns,
 )
 from .errors import CompatibilityError, ConfigError, RuberError
-from .fileio import atomic_write, check_target
+from .fileio import atomic_write, check_name, check_target
 from .unreferenced import (
     TrainConfig,
     load_checkpoint,
@@ -383,9 +383,12 @@ def _check_report_outputs(o: dict, metric_names) -> None:
         nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
         if not nearest.is_dir():  # mkdir(parents=True) would fail on it
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), o["scatter_dir"])
-        if nearest == outdir:
-            for name in metric_names:
-                check_target(outdir / f"scatter_{name}.csv")
+        for name in metric_names:
+            target = outdir / f"scatter_{name}.csv"
+            if nearest == outdir:
+                check_target(target)
+            else:  # a directory yet to be made holds no file: only the name can fail
+                check_name(target)
 
 
 def _write_quantile_csv(path, table, metric_names, human, bins: int) -> None:

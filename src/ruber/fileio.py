@@ -14,6 +14,7 @@ import contextlib
 import errno
 import os
 import stat
+import sys
 
 import numpy as np
 
@@ -57,12 +58,14 @@ def atomic_write(path, binary: bool = False):
 
 def check_target(path) -> None:
     """Raise, naming ``path``, the ``OSError`` that :func:`atomic_write` would
-    give because the directory of ``path`` is missing or ``path`` is a directory.
+    give because the file system's encoding cannot hold ``path``, the directory
+    of ``path`` is missing or ``path`` is a directory.
 
     A command that writes several files checks them all before its first
     write, so that a refusal leaves none of them behind.
     """
     path = os.fspath(path)
+    check_name(path)
     head = os.path.dirname(path) or "."
     try:
         if not stat.S_ISDIR(os.stat(head).st_mode):
@@ -71,6 +74,17 @@ def check_target(path) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
+def check_name(path) -> None:
+    """Raise an ``OSError`` naming ``path`` when the file system's encoding cannot
+    hold it, as under the C locale for a metric name with a non-ASCII letter."""
+    path = os.fspath(path)
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError as exc:
+        raise OSError(errno.EILSEQ, f"the file system encoding "
+                      f"{sys.getfilesystemencoding()!r} cannot hold this name", path) from exc
 
 
 def fixed6_lines(values, sep: str):

@@ -49,7 +49,7 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 def vocab_content_hash(vocab: Vocabulary) -> int:
     """64-bit FNV-1a over the token sequence, newline-terminated per token."""
     h = _FNV_OFFSET
-    for token in vocab.tokens:
+    for token in vocab:
         for byte in token.encode("utf-8") + b"\n":
             h = ((h ^ byte) * _FNV_PRIME) & _U64_MASK
     return h

@@ -777,7 +777,7 @@ def per_cell_save_text_embeddings(vocab, matrix, path):
     fmt = " ".join(["%.6f"] * matrix.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.shape[0]} {matrix.shape[1]}\n")
-        for tok, row in zip(vocab.tokens, matrix):
+        for tok, row in zip(vocab, matrix):
             fh.write(tok + " " + fmt % tuple(row.tolist()) + "\n")
 
 

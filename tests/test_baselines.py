@@ -52,21 +52,27 @@ class TestBleuWorkedExamples:
 
 
 class TestBleuOracle:
-    def test_matches_dict_oracle_on_random_cases(self):
-        rng = np.random.default_rng(90)
+    @staticmethod
+    def _cases(rng):
         for _ in range(500):
             cand = random_utterance(rng, 4, 8, min_tokens=0) if rng.random() > 0.05 else []
-            ref = random_utterance(rng, 4, 8)
-            n = int(rng.integers(1, 5))
-            if not cand:
-                assert math.isnan(bleu(cand, ref, n))
-                continue
-            got = bleu(cand, ref, n)
-            want = oracles.dict_bleu(cand, ref, n)
-            if math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == pytest.approx(want, abs=1e-12)
+            yield cand, random_utterance(rng, 4, 8), int(rng.integers(1, 5))
+        for _ in range(300):  # alphabets of 1-3 tokens: k-grams repeat on both sides
+            size = int(rng.integers(1, 4))
+            yield (random_utterance(rng, size, 80, min_tokens=0),
+                   random_utterance(rng, size, 80), int(rng.integers(1, 5)))
+        for n in range(1, 5):
+            for _ in range(50):
+                yield random_utterance(rng, 3, n, min_tokens=n), random_utterance(rng, 3, 8), n
+                if n > 1:  # a reference shorter than the highest order
+                    yield (random_utterance(rng, 3, 8, min_tokens=n),
+                           random_utterance(rng, 3, n - 1), n)
+
+    def test_matches_dict_oracle_on_random_cases(self):
+        """Bit for bit, NaN matching NaN."""
+        for cand, ref, n in self._cases(np.random.default_rng(90)):
+            got, want = bleu(cand, ref, n), oracles.dict_bleu(cand, ref, n)
+            assert got == want or math.isnan(got) and math.isnan(want), (cand, ref, n)
 
 
 class TestRougeL:

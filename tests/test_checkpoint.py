@@ -40,7 +40,7 @@ def _fresh(seed=0, d=4, hidden=3, mlp=5):
 class TestVocabHash:
     def test_matches_byte_level_oracle(self):
         vocab = Vocabulary(["alpha", "beta"])
-        payload = b"".join(t.encode("utf-8") + b"\n" for t in vocab.tokens)
+        payload = b"".join(t.encode("utf-8") + b"\n" for t in vocab)
         assert vocab_content_hash(vocab) == oracles.fnv1a_64(payload)
 
     def test_includes_unk_and_order(self):

@@ -1,5 +1,6 @@
 """Command-line workflow: subcommands, config files, exit codes."""
 
+import codecs
 import contextlib
 import inspect
 import io
@@ -634,6 +635,11 @@ def _runnable_argv(command, pipeline, tmp_path):
     }[command]]
 
 
+_NEEDS_UTF8_NAMES = pytest.mark.skipif(
+    codecs.lookup(sys.getfilesystemencoding()).name != "utf-8",
+    reason="the file name needs a UTF-8 file-system encoding")
+
+
 def _rename_metric(pipeline, tmp_path, name):
     """The pipeline's score table with ``rouge_l`` renamed; returns its path,
     header line and the renamed column (both 1-based)."""
@@ -906,7 +912,9 @@ class TestInputsEndInExitCodes:
         assert line == (f"error: {table}:{at}: header must be human_1 .. human_k, "
                         f"human_mean, then distinct metric names; column {col} is {name!r}")
 
-    @pytest.mark.parametrize("name", ["x" * 229, "é" * 114 + "x"], ids=["ascii", "multibyte"])
+    @pytest.mark.parametrize("name", ["x" * 229,
+                                      pytest.param("é" * 114 + "x", marks=_NEEDS_UTF8_NAMES)],
+                             ids=["ascii", "multibyte"])
     def test_longest_metric_name_still_writes_its_scatter_file(self, pipeline, tmp_path,
                                                                capsys, name):
         """229 UTF-8 bytes: the scatter file's temporary name is then 255 bytes long."""
@@ -943,7 +951,7 @@ class TestInputsEndInExitCodes:
         assert main(["train-embeddings", "--corpus", corpus, "--out", out,
                      "--dim", "4", "--epochs", "1", "--min-count", "1"]) == 0
         vocab, _ = load_text_embeddings(out)
-        assert vocab.tokens == ["<unk>", "a", "b"]
+        assert list(vocab) == ["<unk>", "a", "b"]
 
 
 _VALID_EMBEDDINGS = b"3 2\na 0.1 0.2\nb -0.3 0.4\n<unk> 0 0.5\n"
@@ -1335,3 +1343,19 @@ class TestEntrypoint:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["report", "--scores", table, "--out", str(ordinary)]) == 0
         assert out.read_bytes() == ordinary.read_bytes()
+
+    @pytest.mark.parametrize("made", [True, False], ids=["scatter-dir-exists", "scatter-dir-new"])
+    def test_report_output_name_the_file_system_cannot_encode_is_exit_3(self, pipeline,
+                                                                       tmp_path, made):
+        """The scatter file of a metric named ``rouge_é`` cannot be named under an ASCII
+        file-system encoding: refused before the first output, so none is left behind."""
+        table, _, _ = _rename_metric(pipeline, tmp_path, "rouge_é")
+        if made:
+            (tmp_path / "sd").mkdir()
+        result = _run_in_ascii_locale([
+            "report", "--scores", table, "--out", str(tmp_path / "r.json"),
+            "--quantile-csv", str(tmp_path / "q.csv"), "--scatter-dir", str(tmp_path / "sd")])
+        assert result.returncode == 3
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error: [Errno") and line.endswith("sd/scatter_rouge_\\xe9.csv'")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["scores.tsv"] + ["sd"] * made

@@ -35,7 +35,7 @@ class TestVocabulary:
     def test_unk_is_id_zero(self):
         vocab = Vocabulary(["a", "b"])
         assert vocab.id_of(UNK_TOKEN) == 0
-        assert vocab.tokens[0] == UNK_TOKEN
+        assert list(vocab)[0] == UNK_TOKEN
         assert len(vocab) == 3
 
     def test_lookup_falls_back_to_unk(self):
@@ -63,11 +63,11 @@ class TestVocabulary:
 
     def test_round_trip_and_equality(self):
         vocab = Vocabulary(["x", "y", "z"])
-        assert [vocab.tokens[vocab.id_of(t)] for t in ["x", "y", "z"]] == ["x", "y", "z"]
+        assert [list(vocab)[vocab.id_of(t)] for t in ["x", "y", "z"]] == ["x", "y", "z"]
         assert vocab == Vocabulary(["x", "y", "z"])
         assert vocab != Vocabulary(["x", "z", "y"])
         assert (vocab == "x") is False
-        assert list(vocab.tokens) == [UNK_TOKEN, "x", "y", "z"]
+        assert list(vocab) == [UNK_TOKEN, "x", "y", "z"]
 
 
 class TestLoadPairsTsv:
@@ -355,4 +355,4 @@ class TestBuildVocab:
         path = write_lines(tmp_path / "c.tsv", ["b a\tc c"])
         vocab = build_vocab(load_pairs(path), min_count=1)
         # c appears twice; a and b tie at one and sort alphabetically
-        assert [vocab.tokens[i] for i in range(4)] == [UNK_TOKEN, "c", "a", "b"]
+        assert list(vocab)[:4] == [UNK_TOKEN, "c", "a", "b"]

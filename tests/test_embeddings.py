@@ -190,7 +190,7 @@ class TestAgainstWholeTextReader:
     def test_unicode_line_separator_inside_a_row_separates_fields(self, tmp_path, sep):
         path = _emb_file(tmp_path, f"2 2\na 1{sep}2\nb{sep}3 4\n")
         vocab, matrix = load_text_embeddings(path)
-        assert vocab.tokens == [UNK_TOKEN, "a", "b"]
+        assert list(vocab) == [UNK_TOKEN, "a", "b"]
         assert matrix.tolist() == [[2.0, 3.0], [1.0, 2.0], [3.0, 4.0]]
         with pytest.raises(ParseError) as err:  # it read five lines
             oracles.whole_text_load_embeddings(path)
@@ -232,7 +232,7 @@ class TestSaveTextEmbeddings:
         path = tmp_path / "emb.txt"
         save_text_embeddings(vocab, matrix, str(path))
         want = ["3 3"] + [tok + " " + " ".join(f"{x:.6f}" for x in row)
-                          for tok, row in zip(vocab.tokens, matrix)]
+                          for tok, row in zip(vocab, matrix)]
         assert path.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
     def test_peak_memory_does_not_grow_with_the_row_count(self, tmp_path):
