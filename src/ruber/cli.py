@@ -292,9 +292,10 @@ def _cmd_train_scorer(o: dict) -> None:
     _echo_config("train-scorer", o)
     config = TrainConfig(**{f.name: o[f.name] for f in fields(TrainConfig) if f.name in o})
     config.validate()
+    tuned_path = o["out"] + ".embeddings.txt" if config.fine_tune_embeddings else None
     check_target(o["out"])
-    if config.fine_tune_embeddings:
-        check_target(o["out"] + ".embeddings.txt")
+    if tuned_path:
+        check_target(tuned_path)
     dataset = load_pairs(o["corpus"], o["format"])
     vocab, matrix = load_text_embeddings(o["embeddings"])
     params, log = train(dataset, vocab, matrix, config)
@@ -305,8 +306,7 @@ def _cmd_train_scorer(o: dict) -> None:
             f"holdout_acc={stats.holdout_accuracy:.4f}"
         )
     save_checkpoint(params, config, vocab_content_hash(vocab), o["out"])
-    if config.fine_tune_embeddings:
-        tuned_path = o["out"] + ".embeddings.txt"
+    if tuned_path:
         save_text_embeddings(vocab, matrix, tuned_path)
         print(f"fine-tuned embeddings written to {tuned_path}")
     print(f"checkpoint written to {o['out']} "
@@ -348,7 +348,7 @@ def _cmd_report(o: dict) -> None:
     table = scoretable.read_score_table(o["scores"])
     human = table.human_mean
     metric_names = [n for n in table.metrics if n not in report_mod.SKIPPED_COLUMNS]
-    _check_report_outputs(o, metric_names)
+    scatter_dir, scatter_paths = _check_report_outputs(o, metric_names)
     rep = report_mod.build_report(table)
     text = report_mod.format_report_text(rep)
     with atomic_write(o["out"]) as fh:
@@ -361,34 +361,33 @@ def _cmd_report(o: dict) -> None:
     if o["quantile_csv"]:
         _write_quantile_csv(o["quantile_csv"], table, metric_names, human, o["bins"])
         print(f"quantile bins written to {o['quantile_csv']}")
-    if o["scatter_dir"]:
-        outdir = Path(o["scatter_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name in metric_names:
+    if scatter_dir:
+        scatter_dir.mkdir(parents=True, exist_ok=True)
+        for name, path in scatter_paths.items():
             analysis.write_scatter_csv(
-                outdir / f"scatter_{name}.csv", human, table.metrics[name],
-                sigma=o["jitter_sigma"], seed=o["seed"],
+                path, human, table.metrics[name], sigma=o["jitter_sigma"], seed=o["seed"],
             )
-        print(f"scatter CSVs written to {outdir}")
+        print(f"scatter CSVs written to {scatter_dir}")
 
 
-def _check_report_outputs(o: dict, metric_names) -> None:
-    """Refuse every output that cannot be written before the first is, so that
-    a refused report leaves no file behind."""
+def _check_report_outputs(o: dict, metric_names) -> tuple[Path | None, dict[str, Path]]:
+    """Refuse every output that cannot be written before the first is, so that a refused
+    report leaves no file behind; return the scatter directory and each metric's file."""
     for key in ("out", "text_out", "quantile_csv"):
         if o[key]:
             check_target(o[key])
-    if o["scatter_dir"]:
-        outdir = Path(o["scatter_dir"])
-        nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
-        if not nearest.is_dir():  # mkdir(parents=True) would fail on it
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), o["scatter_dir"])
-        for name in metric_names:
-            target = outdir / f"scatter_{name}.csv"
-            if nearest == outdir:
-                check_target(target)
-            else:  # a directory yet to be made holds no file: only the name can fail
-                check_name(target)
+    if not o["scatter_dir"]:
+        return None, {}
+    outdir = Path(o["scatter_dir"])
+    nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not nearest.is_dir():  # mkdir(parents=True) would fail on it
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), o["scatter_dir"])
+    # a directory yet to be made holds no file: only the name can fail
+    check = check_target if nearest == outdir else check_name
+    paths = {name: outdir / f"scatter_{name}.csv" for name in metric_names}
+    for target in paths.values():
+        check(target)
+    return outdir, paths
 
 
 def _write_quantile_csv(path, table, metric_names, human, bins: int) -> None:

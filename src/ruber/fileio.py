@@ -57,9 +57,10 @@ def atomic_write(path, binary: bool = False):
 
 
 def check_target(path) -> None:
-    """Raise, naming ``path``, the ``OSError`` that :func:`atomic_write` would
-    give because the file system's encoding cannot hold ``path``, the directory
-    of ``path`` is missing or ``path`` is a directory.
+    """Raise, naming ``path``, the ``OSError`` that :func:`atomic_write` would give
+    because the file system's encoding cannot hold ``path``, ``path`` is empty, its
+    directory is missing or it is a directory; or because it is another kind of
+    non-regular file, a FIFO say, that ``os.replace`` would replace, not write to.
 
     A command that writes several files checks them all before its first
     write, so that a refusal leaves none of them behind.
@@ -72,8 +73,16 @@ def check_target(path) -> None:
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
-    if os.path.isdir(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        if path:
+            return  # a new file
+        raise  # "" names no file
+    if stat.S_ISDIR(mode):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not stat.S_ISREG(mode):
+        raise OSError(errno.EEXIST, "exists and is not a regular file", path)
 
 
 def check_name(path) -> None:

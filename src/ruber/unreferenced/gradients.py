@@ -47,6 +47,7 @@ from .scorer import (
     GruParams,
     ScoreCache,
     ScorerParams,
+    TensorTree,
     _score_reply,
     score_with_cache,
     zero_scorer_params,
@@ -77,11 +78,11 @@ def margin_loss(s_pos: float, s_neg: float, margin: float) -> float:
 
 
 @dataclass
-class Gradients:
+class Gradients(TensorTree):
     """d(mean loss)/d(tensor) for every scorer tensor.
 
     ``embeddings`` is a (V, d) matrix of input-vector gradients when
-    fine-tuning is on, else None.
+    fine-tuning is on, else None, and then ``tensors()`` leaves it out.
     """
 
     scorer: ScorerParams
@@ -132,12 +133,11 @@ def compute_gradients(
         _backward_encoder([cache.reply for cache in rows], dr,
                           params.reply_encoder, grads.reply_encoder, matrix, emb_grad)
 
+    gradients = Gradients(scorer=grads, embeddings=emb_grad)
     scale = 1.0 / len(batch)
-    for _, arr in grads.tensors():
+    for _, arr in gradients.tensors():
         arr *= scale
-    if emb_grad is not None:
-        emb_grad *= scale
-    return Gradients(scorer=grads, embeddings=emb_grad), total * scale
+    return gradients, total * scale
 
 
 def _backward_head(

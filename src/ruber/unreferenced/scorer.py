@@ -40,19 +40,19 @@ def sigmoid(x, tanh=np.tanh):
 
 
 class TensorTree:
-    """Base of the dataclasses whose fields are tensors or nested trees."""
+    """Base of the dataclasses whose fields are tensors, nested trees or None."""
 
     def tensors(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         """Every leaf as ``(dotted name, tensor)``, in field declaration order.
 
-        The checkpoint layout and the optimizer state both follow that
-        order.
+        A None field has no leaf.  The checkpoint layout, the optimizer
+        state and the gradients all follow that order.
         """
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, TensorTree):
                 yield from value.tensors(f"{prefix}{f.name}.")
-            else:
+            elif value is not None:
                 yield f"{prefix}{f.name}", value
 
 

@@ -68,41 +68,33 @@ class TrainingLog:
 
 
 class AdamState:
-    """Adam moments of each of ``params.tensors()``, then of the embedding matrix if given."""
+    """The tensors one Adam optimizer steps, each with its two moments, and the step count."""
 
-    def __init__(self, params: ScorerParams, embeddings_shape=None):
-        shapes = [arr.shape for _, arr in params.tensors()]
-        shapes += [embeddings_shape] if embeddings_shape else []
-        self.m = [np.zeros(shape) for shape in shapes]
-        self.v = [np.zeros(shape) for shape in shapes]
+    def __init__(self, tensors: list[np.ndarray]):
+        self.tensors = tensors
+        self.m = [np.zeros_like(arr) for arr in tensors]
+        self.v = [np.zeros_like(arr) for arr in tensors]
         self.t = 0
 
 
-def adam_step(
-    params: ScorerParams,
-    grads: Gradients,
-    state: AdamState,
-    config: TrainConfig,
-    matrix: np.ndarray | None = None,
-) -> None:
-    """One bias-corrected Adam update, in place.
+def adam_step(state: AdamState, grads: Gradients, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``state.tensors``, in place.
 
+    ``grads.tensors()`` must list one gradient per tensor, in the same
+    order; otherwise ``ValueError`` is raised before any tensor moves.
     Each tensor is walked in memory order by one buffered ``np.nditer``
     over the tensor, its gradient and its two moments, in chunks of at
     most :data:`_ADAM_BLOCK` elements.  Each chunk runs the one-expression
     update, so every temporary holds at most one chunk, none the size of
     the embedding matrix, and every float is the same to the bit.
     """
-    pairs = [(arr, grad) for (_, arr), (_, grad)
-             in zip(params.tensors(), grads.scorer.tensors())]
-    if grads.embeddings is not None:
-        if matrix is None or len(state.m) == len(pairs):
-            raise ValueError("embedding gradients supplied without embedding state")
-        pairs.append((matrix, grads.embeddings))
+    flat = [grad for _, grad in grads.tensors()]
+    if len(flat) != len(state.tensors):
+        raise ValueError(f"{len(flat)} gradients for {len(state.tensors)} Adam tensors")
     state.t += 1
     c1 = 1.0 - config.beta1 ** state.t
     c2 = 1.0 - config.beta2 ** state.t
-    for (arr, grad), m, v in zip(pairs, state.m, state.v):
+    for arr, grad, m, v in zip(state.tensors, flat, state.m, state.v):
         # leaving the context writes any buffered chunk back to the tensor
         with np.nditer([arr, grad, m, v], ["external_loop", "buffered", "zerosize_ok"],
                        [["readwrite"], ["readonly"], ["readwrite"], ["readwrite"]],
@@ -159,7 +151,8 @@ def train(
             f"{len(trainset)} training pair(s) after the holdout split; need at least 2"
         )
 
-    state = AdamState(params, matrix.shape if config.fine_tune_embeddings else None)
+    tuned = [matrix] if config.fine_tune_embeddings else []
+    state = AdamState([arr for _, arr in params.tensors()] + tuned)
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(trainset))
         loss_sum = 0.0
@@ -175,14 +168,12 @@ def train(
                     batch.append((pair.query, pair.reply, negative))
                 grads, mean_loss = compute_gradients(batch, params, vocab, matrix, config)
                 loss_sum += mean_loss * len(chunk)
-                adam_step(params, grads, state, config,
-                          matrix if config.fine_tune_embeddings else None)
+                adam_step(state, grads, config)
                 del grads  # not alive while the next batch computes its own
             # a diverged model would otherwise score its holdout and be saved;
             # the scorer is saved as float32, so check the values it will store
             stored = [(f"{name} (as float32)", quantize(arr)) for name, arr in params.tensors()]
-            tuned = [("fine-tuned embeddings", matrix)] if config.fine_tune_embeddings else []
-            for name, arr in [*stored, *tuned]:
+            for name, arr in stored + [("fine-tuned embeddings", t) for t in tuned]:
                 if not np.all(np.isfinite(arr)):
                     raise NumericalError(f"epoch {epoch}: {name} is non-finite after the updates")
         accuracy = _holdout_accuracy(

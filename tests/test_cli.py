@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -759,19 +760,32 @@ class TestInputsEndInExitCodes:
     @pytest.mark.parametrize("out, message", [
         ("nodir/out", "[Errno 2] No such file or directory"),
         ("adir", "[Errno 21] Is a directory"),
-    ], ids=["missing-directory", "directory"])
+        ("", "[Errno 2] No such file or directory"),
+        ("fifo", "[Errno 17] exists and is not a regular file"),
+    ], ids=["missing-directory", "directory", "empty", "fifo"])
     def test_unwritable_out_is_refused_before_any_input_is_read(self, tmp_path, command,
                                                                 out, message):
-        """The line names the path given, not a temporary file; the inputs do not exist."""
+        """The line names the path given, not a temporary file; the inputs do not exist.
+
+        ``os.replace`` would have put a regular file where the FIFO is; it stays a FIFO.
+        """
         (tmp_path / "adir").mkdir()
+        kept = ["adir"]
+        if out == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("this platform has no os.mkfifo")
+            os.mkfifo(tmp_path / "fifo")
+            kept.append("fifo")
         ghost = str(tmp_path / "ghost")
         inputs = {"train-embeddings": ["--corpus", ghost],
                   "train-scorer": ["--corpus", ghost, "--embeddings", ghost],
                   "score": ["--data", ghost, "--embeddings", ghost, "--checkpoint", ghost]}
-        target = str(tmp_path / out)
-        line = _refused([command, *inputs[command], "--out", target], 3, tmp_path, "adir")
+        target = str(tmp_path / out) if out else ""
+        line = _refused([command, *inputs[command], "--out", target], 3, tmp_path, *kept)
         assert line == f"error: {message}: {target!r}"
         assert list((tmp_path / "adir").iterdir()) == []
+        if out == "fifo":
+            assert stat.S_ISFIFO(os.stat(target).st_mode)
 
     def test_unwritable_tuned_embeddings_are_refused_before_training(self, tmp_path):
         """Else the checkpoint was written, and then the fine-tuned vectors failed."""

@@ -3,6 +3,7 @@ tables: ``fixed6_lines`` and the three writers that use it give the bytes of a
 per-cell ``%.6f``."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -97,6 +98,27 @@ def test_check_target_accepts_a_new_or_existing_file(tmp_path):
     check_target(tmp_path / "new.txt")
     check_target("relative-name.txt")
     assert os.listdir(tmp_path) == ["old.txt"]
+
+
+def test_check_target_refuses_an_empty_path_as_open_would():
+    with pytest.raises(FileNotFoundError) as checked:
+        check_target("")
+    with pytest.raises(FileNotFoundError) as opened:
+        open("", "w", encoding="utf-8")
+    assert str(checked.value) == str(opened.value) == "[Errno 2] No such file or directory: ''"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="this platform has no os.mkfifo")
+def test_check_target_refuses_a_fifo_and_leaves_it_a_fifo(tmp_path):
+    """``atomic_write`` would have replaced the FIFO with a regular file."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError) as checked:
+        check_target(fifo)
+    assert str(checked.value) == f"[Errno 17] exists and is not a regular file: {str(fifo)!r}"
+    assert checked.value.filename == str(fifo)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 _NAN, _INF = float("nan"), float("inf")

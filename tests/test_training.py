@@ -21,6 +21,11 @@ def _read_only(arr):
     return arr
 
 
+def _adam_state(params, *tuned):
+    """Adam over every scorer tensor, then the ``tuned`` matrix if given, as ``train`` builds it."""
+    return AdamState([arr for _, arr in params.tensors()] + list(tuned))
+
+
 def _pairs(replies):
     return [QueryReplyPair([f"q{i}"], list(r)) for i, r in enumerate(replies)]
 
@@ -92,7 +97,7 @@ class TestAdamStep:
         params = init_scorer_params(3, 2, 4, rng)
         config = TrainConfig(hidden=2, mlp_hidden=4, margin=1.0, lr=0.01,
                              fine_tune_embeddings=True)
-        state = AdamState(params, matrix.shape)
+        state = _adam_state(params, matrix)
         batch = [(["t0", "t1"], ["t2"], ["t3"])]
 
         # Keep scalar shadow copies of every tensor and an independent
@@ -106,7 +111,7 @@ class TestAdamStep:
             grads, _ = compute_gradients(batch, params, vocab, matrix, config)
             grad_map = {name: g.copy() for name, g in grads.scorer.tensors()}
             grad_map["__emb__"] = grads.embeddings.copy()
-            adam_step(params, grads, state, config, matrix)
+            adam_step(state, grads, config)
             for key, shadow in shadows.items():
                 grad = grad_map[key]
                 flat_val = shadow.reshape(-1)
@@ -131,15 +136,15 @@ class TestAdamStep:
         after each step; returns the one-expression update's final values.
         """
         params = random_scorer_params(*dims, rng)
-        state = AdamState(params, matrix.shape)
+        state = _adam_state(params, matrix)
         expected = [arr.copy() for _, arr in params.tensors()] + [matrix.copy()]
         moments = [(np.zeros_like(arr), np.zeros_like(arr)) for arr in expected]
         for t in range(1, steps + 1):
             grads = Gradients(random_scorer_params(*dims, rng),
                               rng.normal(0, 1, matrix.shape))
-            adam_step(params, grads, state, config, matrix)
+            adam_step(state, grads, config)
             c1, c2 = 1.0 - config.beta1 ** t, 1.0 - config.beta2 ** t
-            flat = [g for _, g in grads.scorer.tensors()] + [grads.embeddings]
+            flat = [g for _, g in grads.tensors()]
             for arr, grad, (m, v) in zip(expected, flat, moments):
                 m *= config.beta1
                 m += (1.0 - config.beta1) * grad
@@ -190,27 +195,36 @@ class TestAdamStep:
         matrix = rng.normal(0, 1, (8192, 64))
         assert matrix.nbytes >= 4 * 2 ** 20
         config = TrainConfig(hidden=2, mlp_hidden=4, fine_tune_embeddings=True)
-        state = AdamState(params, matrix.shape)
+        state = _adam_state(params, matrix)
         grads = Gradients(random_scorer_params(64, 2, 4, rng), rng.normal(0, 1, matrix.shape))
         tracemalloc.start()
         try:
-            adam_step(params, grads, state, config, matrix)
+            adam_step(state, grads, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
-    def test_requires_matrix_when_fine_tuning(self):
+    @pytest.mark.parametrize("state_has_matrix", [False, True],
+                             ids=["gradients-have-an-extra-slot", "gradients-lack-a-slot"])
+    def test_gradient_count_must_match_the_state_before_any_tensor_moves(self,
+                                                                          state_has_matrix):
+        """With the matrix in the state only, a ``zip`` would have stepped the scorer and
+        silently skipped the matrix."""
         rng = np.random.default_rng(61)
         vocab, matrix = toy_vocab_matrix(rng, n_tokens=4, dim=3)
         params = init_scorer_params(3, 2, 4, rng)
-        config = TrainConfig(hidden=2, mlp_hidden=4, fine_tune_embeddings=True)
-        state = AdamState(params)  # no embedding slots
+        config = TrainConfig(hidden=2, mlp_hidden=4, fine_tune_embeddings=not state_has_matrix)
         grads, _ = compute_gradients(
             [(["t0"], ["t1"], ["t2"])], params, vocab, matrix, config
         )
-        with pytest.raises(ValueError):
-            adam_step(params, grads, state, config, matrix)
+        state = _adam_state(params, matrix) if state_has_matrix else _adam_state(params)
+        before = [a.copy() for a in [*state.tensors, *state.m, *state.v, matrix]]
+        with pytest.raises(ValueError, match="gradients for"):
+            adam_step(state, grads, config)
+        after = [*state.tensors, *state.m, *state.v, matrix]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before, strict=True))
+        assert state.t == 0
 
 
 class TestTrain:
