@@ -277,3 +277,22 @@ def write_scatter_csv(path, human, metric, sigma: float, seed: int) -> None:
         fh.write("human,metric\n")
         for line in fixed6_lines(points, ","):
             fh.write(line + "\n")
+
+
+def write_quantile_csv(path, human, metrics, k: int) -> None:
+    """Write one ``metric,bin,mean_human,mean_metric`` CSV row per metric and
+    :func:`quantile_bins` group of the 1-D arrays ``human`` and ``metrics[name]``.
+
+    Rows where the metric or the human score is undefined are dropped before
+    binning; a metric with fewer usable rows than ``k`` is skipped entirely.
+    """
+    with atomic_write(path) as fh:
+        fh.write("metric,bin,mean_human,mean_metric\n")
+        for name, values in metrics.items():
+            mask = np.isfinite(values) & np.isfinite(human)
+            if np.count_nonzero(mask) < k:
+                continue
+            h = human[mask]
+            means = np.column_stack([quantile_bins(h, h, k), quantile_bins(h, values[mask], k)])
+            for b, line in enumerate(fixed6_lines(means, ",")):
+                fh.write(f"{name},{b},{line}\n")

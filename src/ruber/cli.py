@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, report as report_mod, scoretable
 from .blending import BlendStrategy
 from .corpus import FORMATS, load_annotated, load_pairs
@@ -73,7 +71,8 @@ _BINS = _keyword_defaults(analysis.quantile_bins)
 _SCATTER = _keyword_defaults(analysis.scatter_points)
 
 _CONFIG = _Opt("config", help="key=value option file")
-_FORMAT = _Opt("format", str, default="tsv", choices=FORMATS, help="corpus layout")
+_FORMAT = _Opt("format", str, _keyword_defaults(load_pairs)["format"], choices=FORMATS,
+               help="corpus layout")
 
 _COMMON_CORPUS = (
     _Opt("corpus", str, required=True, help="input corpus path"),
@@ -102,7 +101,7 @@ _COMMANDS: dict[str, tuple[_Opt, ...]] = {
         _Opt("batch_size", int, TrainConfig.batch_size, help="samples per update"),
         _Opt("max_len", int, TrainConfig.max_len, help="utterance truncation length"),
         _Opt("seed", int, TrainConfig.seed, help="rng seed"),
-        _Opt("fine_tune_embeddings", bool, False,
+        _Opt("fine_tune_embeddings", bool, TrainConfig.fine_tune_embeddings,
              help="also train word vectors (writes <out>.embeddings.txt)"),
     ),
     "score": (
@@ -319,11 +318,8 @@ def _cmd_score(o: dict) -> None:
     check_target(o["out"])
     dataset = load_annotated(o["data"], o["format"])
     vocab, matrix = load_text_embeddings(o["embeddings"])
-    ckpt = load_checkpoint(
-        o["checkpoint"],
-        expected_vocab_hash=vocab_content_hash(vocab),
-        allow_vocab_mismatch=o["allow_vocab_mismatch"],
-    )
+    expected = None if o["allow_vocab_mismatch"] else vocab_content_hash(vocab)
+    ckpt = load_checkpoint(o["checkpoint"], expected_vocab_hash=expected)
     if o["max_len"] is None:
         o["max_len"] = ckpt.config.max_len
     _echo_config("score", o)
@@ -347,8 +343,8 @@ def _cmd_report(o: dict) -> None:
     analysis.check_scatter(o["jitter_sigma"], o["seed"])
     table = scoretable.read_score_table(o["scores"])
     human = table.human_mean
-    metric_names = [n for n in table.metrics if n not in report_mod.SKIPPED_COLUMNS]
-    scatter_dir, scatter_paths = _check_report_outputs(o, metric_names)
+    metrics = {n: v for n, v in table.metrics.items() if n not in report_mod.SKIPPED_COLUMNS}
+    scatter_dir, scatter_paths = _check_report_outputs(o, metrics)
     rep = report_mod.build_report(table)
     text = report_mod.format_report_text(rep)
     with atomic_write(o["out"]) as fh:
@@ -359,13 +355,13 @@ def _cmd_report(o: dict) -> None:
     print(text, end="")
 
     if o["quantile_csv"]:
-        _write_quantile_csv(o["quantile_csv"], table, metric_names, human, o["bins"])
+        analysis.write_quantile_csv(o["quantile_csv"], human, metrics, o["bins"])
         print(f"quantile bins written to {o['quantile_csv']}")
     if scatter_dir:
         scatter_dir.mkdir(parents=True, exist_ok=True)
         for name, path in scatter_paths.items():
             analysis.write_scatter_csv(
-                path, human, table.metrics[name], sigma=o["jitter_sigma"], seed=o["seed"],
+                path, human, metrics[name], sigma=o["jitter_sigma"], seed=o["seed"],
             )
         print(f"scatter CSVs written to {scatter_dir}")
 
@@ -388,27 +384,6 @@ def _check_report_outputs(o: dict, metric_names) -> tuple[Path | None, dict[str,
     for target in paths.values():
         check(target)
     return outdir, paths
-
-
-def _write_quantile_csv(path, table, metric_names, human, bins: int) -> None:
-    """One row per (metric, bin): mean human score and mean metric value.
-
-    Rows where the metric is undefined are dropped before binning; a
-    metric with fewer usable rows than bins is skipped entirely.
-    """
-    with atomic_write(path) as fh:
-        fh.write("metric,bin,mean_human,mean_metric\n")
-        for name in metric_names:
-            values = table.metrics[name]
-            mask = np.isfinite(values) & np.isfinite(human)
-            if int(mask.sum()) < bins:
-                continue
-            h = human[mask]
-            v = values[mask]
-            mean_h = analysis.quantile_bins(h, h, bins)
-            mean_v = analysis.quantile_bins(h, v, bins)
-            for b in range(bins):
-                fh.write(f"{name},{b},{mean_h[b]:.6f},{mean_v[b]:.6f}\n")
 
 
 _HANDLERS = {

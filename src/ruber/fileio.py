@@ -1,11 +1,12 @@
 """Atomic output files, and the ``%.6f`` text of their float tables.
 
-Every file the CLI produces is written to a temporary file in the
-target's directory and then moved over the target with ``os.replace``,
-so a reader sees either the previous file or the complete new one, and a
-failed write leaves the previous file untouched.  There is no fsync: this
-guards against partial files from errors and interrupted runs, not
-against power loss.
+Every output file is written to a temporary file in the target's directory
+and then moved over the target with ``os.replace``, so a reader sees either
+the previous file or the complete new one, and a failed write leaves the
+previous file untouched.  A target that is a symbolic link is written
+through: the link stays, and the file it names gets the new bytes.  There is
+no fsync: this guards against partial files from errors and interrupted
+runs, not against power loss.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ _NAN, _INF = (np.frombuffer(word, np.uint8)[:, None] for word in (b"nan", b"inf"
 def atomic_write(path, binary: bool = False):
     """Yield a file handle whose contents replace ``path`` on success.
 
-    If the body raises, the temporary file is removed and ``path`` is left
-    as it was.  An ``OSError`` from creating the temporary file or from
-    moving it names ``path``, not the temporary file.
+    :func:`check_target` refuses ``path`` before any file is made.  If the body
+    raises, the temporary file is removed and ``path`` is left as it was.  An
+    ``OSError`` names ``path``, not the temporary file or the file a link names.
     """
     path = os.fspath(path)
-    head, tail = os.path.split(path)
+    real = check_target(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
@@ -47,7 +49,7 @@ def atomic_write(path, binary: bool = False):
         with fh:
             yield fh
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
@@ -56,33 +58,34 @@ def atomic_write(path, binary: bool = False):
         raise
 
 
-def check_target(path) -> None:
-    """Raise, naming ``path``, the ``OSError`` that :func:`atomic_write` would give
-    because the file system's encoding cannot hold ``path``, ``path`` is empty, its
-    directory is missing or it is a directory; or because it is another kind of
-    non-regular file, a FIFO say, that ``os.replace`` would replace, not write to.
+def check_target(path) -> str:
+    """Return the file that a write to ``path`` replaces: ``path`` with its links
+    resolved.  Raise, naming ``path``, an ``OSError`` when the file system's
+    encoding cannot hold ``path``, ``path`` is empty, its directory is missing or
+    it is a directory; or when it is another kind of non-regular file, a FIFO
+    say, that ``os.replace`` would replace, not write to.
 
     A command that writes several files checks them all before its first
     write, so that a refusal leaves none of them behind.
     """
     path = os.fspath(path)
     check_name(path)
-    head = os.path.dirname(path) or "."
+    if not path:  # realpath would read "" as the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    # realpath drops a trailing separator; kept, it still names a directory
+    real = os.path.realpath(path) + os.sep * path.endswith(os.sep)
     try:
-        if not stat.S_ISDIR(os.stat(head).st_mode):
-            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), head)
+        if not stat.S_ISDIR(os.stat(os.path.dirname(real)).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        with contextlib.suppress(FileNotFoundError):  # a new file
+            mode = os.stat(real).st_mode
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if not stat.S_ISREG(mode):
+                raise OSError(errno.EEXIST, "exists and is not a regular file")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        if path:
-            return  # a new file
-        raise  # "" names no file
-    if stat.S_ISDIR(mode):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not stat.S_ISREG(mode):
-        raise OSError(errno.EEXIST, "exists and is not a regular file", path)
+    return real
 
 
 def check_name(path) -> None:

@@ -90,17 +90,12 @@ def quantize(arr: np.ndarray) -> np.ndarray:
     return np.asarray(arr, dtype="<f4", order="C")
 
 
-def load_checkpoint(
-    path,
-    expected_vocab_hash: int | None = None,
-    allow_vocab_mismatch: bool = False,
-) -> Checkpoint:
+def load_checkpoint(path, expected_vocab_hash: int | None = None) -> Checkpoint:
     """Read a checkpoint back.
 
-    When ``expected_vocab_hash`` is given it must equal the stored hash,
-    unless ``allow_vocab_mismatch`` overrides the refusal; a mismatch
-    raises :class:`~ruber.errors.CompatibilityError`.  Structural damage
-    raises :class:`~ruber.errors.CheckpointFormatError`.
+    When ``expected_vocab_hash`` is given it must equal the stored hash; a
+    mismatch raises :class:`~ruber.errors.CompatibilityError`.  Structural
+    damage raises :class:`~ruber.errors.CheckpointFormatError`.
     """
     with open(path, "rb") as fh:
         if not fh.seekable():  # a pipe has no size to check the declared lengths against
@@ -168,7 +163,7 @@ def load_checkpoint(
                 )
             arr[...] = np.frombuffer(take(4 * arr.size), "<f4").reshape(arr.shape)
 
-    if expected_vocab_hash not in (None, vocab_hash) and not allow_vocab_mismatch:
+    if expected_vocab_hash not in (None, vocab_hash):
         raise CompatibilityError(
             f"{path}: checkpoint was trained against a different vocabulary "
             f"(stored hash {vocab_hash:#018x}, supplied {expected_vocab_hash:#018x}); "

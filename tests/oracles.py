@@ -13,8 +13,9 @@ scorer's initializer as it was written out tensor by tensor, and
 :func:`per_field_save_checkpoint`, the checkpoint writer as it packed
 each header field with its own ``struct.pack``, and the float-table writers
 :func:`per_cell_save_text_embeddings`, :func:`per_cell_write_score_table`
-and :func:`per_cell_write_scatter_csv`, as they formatted each ``%.6f``
-cell with its own Python format call.
+and :func:`per_cell_write_scatter_csv`, and the CLI's quantile writer
+:func:`per_cell_write_quantile_csv`, as they formatted each ``%.6f`` cell
+with its own Python format call.
 """
 
 from __future__ import annotations
@@ -809,3 +810,22 @@ def per_cell_write_scatter_csv(path, human, metric, sigma, seed):
         fh.write("human,metric\n")
         for h, m in points:
             fh.write(f"{h:.6f},{m:.6f}\n")
+
+
+def per_cell_write_quantile_csv(path, human, metrics, k):
+    """The quantile writer as the CLI held it, rendering each bin's two means with
+    one f-string."""
+    from ruber import analysis
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("metric,bin,mean_human,mean_metric\n")
+        for name, values in metrics.items():
+            mask = np.isfinite(values) & np.isfinite(human)
+            if int(mask.sum()) < k:
+                continue
+            h = human[mask]
+            v = values[mask]
+            mean_h = analysis.quantile_bins(h, h, k)
+            mean_v = analysis.quantile_bins(h, v, k)
+            for b in range(k):
+                fh.write(f"{name},{b},{mean_h[b]:.6f},{mean_v[b]:.6f}\n")

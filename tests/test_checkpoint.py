@@ -312,15 +312,6 @@ class TestVocabCompatibility:
         assert f"{stored:#018x}" in message
         assert f"{other:#018x}" in message
 
-    def test_override_flag_loads_anyway(self, tmp_path):
-        params, config, vocab = _fresh(5)
-        path = str(tmp_path / "x.ckpt")
-        save_checkpoint(params, config, vocab_content_hash(vocab), path)
-        other = vocab_content_hash(Vocabulary(["different"]))
-        ckpt = load_checkpoint(path, expected_vocab_hash=other,
-                               allow_vocab_mismatch=True)
-        assert ckpt.vocab_hash == vocab_content_hash(vocab)
-
     def test_no_expectation_no_check(self, tmp_path):
         params, config, vocab = _fresh(6)
         path = str(tmp_path / "x.ckpt")

@@ -1,6 +1,7 @@
-"""Atomic output files: a failed write leaves the previous file intact.  The float
-tables: ``fixed6_lines`` and the three writers that use it give the bytes of a
-per-cell ``%.6f``."""
+"""Atomic output files: a failed write leaves the previous file intact, every
+library writer refuses what ``check_target`` refuses and writes through a link.
+The float tables: ``fixed6_lines`` and the four writers that use it give the
+bytes of a per-cell ``%.6f``."""
 
 import os
 import stat
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 import oracles
-from ruber.analysis import write_scatter_csv
+from ruber.analysis import quantile_bins, write_quantile_csv, write_scatter_csv
 from ruber.embeddings import save_text_embeddings
 from ruber.fileio import _BLOCK_CELLS, atomic_write, check_target, fixed6_lines
 from ruber.scoretable import ScoreTable, write_score_table
+from ruber.unreferenced import TrainConfig, save_checkpoint
+from ruber.unreferenced.scorer import zero_scorer_params
 from ruber.vocabulary import Vocabulary
 
 
@@ -76,11 +79,12 @@ def test_directory_target_names_the_target_and_leaves_no_temporary(tmp_path):
 
 
 @pytest.mark.parametrize("name", ["absent/out.txt", "afile/out.txt", "afile/sub/out.txt",
-                                  "adir"])
+                                  "adir", "absent/", "afile/", "adir/"])
 def test_check_target_raises_what_the_write_would(tmp_path, name):
+    """A trailing separator names a directory, also where the link resolution drops it."""
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("kept\n", encoding="utf-8")
-    path = tmp_path / name
+    path = os.path.join(tmp_path, name)
     with pytest.raises(OSError) as checked:
         check_target(path)
     with pytest.raises(OSError) as written:
@@ -88,8 +92,10 @@ def test_check_target_raises_what_the_write_would(tmp_path, name):
             fh.write("x")
     assert type(checked.value) is type(written.value)
     assert str(checked.value) == str(written.value)
-    assert checked.value.filename == str(path)
+    assert checked.value.filename == path
     assert sorted(os.listdir(tmp_path)) == ["adir", "afile"]
+    assert os.listdir(tmp_path / "adir") == []
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_check_target_accepts_a_new_or_existing_file(tmp_path):
@@ -119,6 +125,65 @@ def test_check_target_refuses_a_fifo_and_leaves_it_a_fifo(tmp_path):
     assert checked.value.filename == str(fifo)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
+
+
+def _quantile_inputs(n=40):
+    rng = np.random.default_rng(34)
+    return rng.integers(0, 3, n).astype(float), {"m": rng.random(n)}
+
+
+# every library writer, each as a call that writes the path it is given
+WRITERS = {
+    "save_text_embeddings": lambda path: save_text_embeddings(
+        Vocabulary(["a", "b"]), np.arange(6.0).reshape(3, 2), path),
+    "save_checkpoint": lambda path: save_checkpoint(
+        zero_scorer_params(2, 3, 4), TrainConfig(hidden=3, mlp_hidden=4), 7, path),
+    "write_score_table": lambda path: write_score_table(
+        ScoreTable(np.ones((3, 2)), {"m": np.arange(3.0)}), path),
+    "write_scatter_csv": lambda path: write_scatter_csv(
+        path, np.arange(3.0), np.arange(3.0), 0.25, 7),
+    "write_quantile_csv": lambda path: write_quantile_csv(path, *_quantile_inputs(), 5),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="this platform has no os.mkfifo")
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_writer_refuses_a_fifo_and_leaves_it_a_fifo(tmp_path, write):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    with pytest.raises(OSError) as written:
+        write(fifo)
+    assert written.value.filename == str(fifo)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_writer_writes_through_a_link(tmp_path, write):
+    """The link stays; the file it names, in another directory, gets the new bytes."""
+    write(tmp_path / "plain")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "real").write_bytes(b"old\n")
+    (tmp_path / "link").symlink_to(os.path.join("sub", "real"))
+    write(tmp_path / "link")
+    assert os.readlink(tmp_path / "link") == os.path.join("sub", "real")
+    assert (tmp_path / "sub" / "real").read_bytes() == (tmp_path / "plain").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["link", "plain", "sub"]
+    assert os.listdir(tmp_path / "sub") == ["real"]
+
+
+@pytest.mark.parametrize("write", WRITERS.values(), ids=WRITERS.keys())
+def test_link_into_a_missing_directory_is_refused(tmp_path, write):
+    link = tmp_path / "link"
+    link.symlink_to(os.path.join("absent", "real"))
+    with pytest.raises(FileNotFoundError) as checked:
+        check_target(link)
+    with pytest.raises(FileNotFoundError) as written:
+        write(link)
+    assert checked.value.filename == written.value.filename == str(link)
+    assert str(checked.value) == str(written.value)
+    assert os.readlink(link) == os.path.join("absent", "real")
+    assert os.listdir(tmp_path) == ["link"]
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -195,6 +260,27 @@ class TestAgainstPerCellWriters:
                 self._same_embeddings(tmp_path, values)
             self._same_score_table(tmp_path, values)
             self._same_scatter(tmp_path, values[:, 0])
+
+    def test_quantile_csv(self, tmp_path):
+        """NaN cells are dropped, a metric with fewer usable rows than bins is skipped,
+        and a bin mean of -0.0 keeps its sign."""
+        edges = np.array(EDGE_VALUES)
+        human, _ = _quantile_inputs(len(edges))
+        human[::9] = _NAN
+        sparse = np.full(len(edges), _NAN)
+        sparse[:4] = 1.0
+        zeros = np.zeros(len(edges))
+        zeros[np.flatnonzero(human == 0)[0]] = -5e-324  # the sum divided by n rounds to -0.0
+        usable = np.isfinite(human)
+        assert str(quantile_bins(human[usable], zeros[usable], 5)[0]) == "-0.0"
+        metrics = {"edges": edges, "sparse": sparse, "zeros": zeros,
+                   "tiny": np.where(human == 0, -4e-7, 0.25)}
+        write_quantile_csv(tmp_path / "new.csv", human, metrics, 5)
+        oracles.per_cell_write_quantile_csv(tmp_path / "old.csv", human, metrics, 5)
+        written = (tmp_path / "new.csv").read_text(encoding="utf-8")
+        assert written == (tmp_path / "old.csv").read_text(encoding="utf-8")
+        assert "sparse," not in written
+        assert "zeros,0,0.000000,-0.000000\n" in written
 
     def test_nan_cells_across_blocks(self, tmp_path):
         values = np.random.default_rng(33).random((3000, 14))
