@@ -167,7 +167,8 @@ def load_checkpoint(path, expected_vocab_hash: int | None = None) -> Checkpoint:
         raise CompatibilityError(
             f"{path}: checkpoint was trained against a different vocabulary "
             f"(stored hash {vocab_hash:#018x}, supplied {expected_vocab_hash:#018x}); "
-            "pass the override flag to load anyway"
+            "to load it anyway, pass expected_vocab_hash=None "
+            "(on the command line: score --allow-vocab-mismatch)"
         )
     return Checkpoint(params=params, config=config, embed_dim=embed_dim, vocab_hash=vocab_hash)
 

@@ -9,15 +9,18 @@ encoders.  Samples whose loss clamps to zero contribute exactly nothing.
 :func:`compute_gradients` is the one place the loss of a batch is
 computed; it returns the mean loss with the gradients.
 
-The forward pass runs one triple at a time: ``score_with_cache`` on
-the positive pair, then the negative reply alone against the query
-vector that call encoded.  The backward pass runs once per sub-batch of
-``_SUB_BATCH`` triples, over those whose hinge is active.  Each triple's
-positive and negative pair are two rows of the head, which forms each
-head gradient as one product over the rows and reads the sentence
-vectors back from the MLP input features.  The query encoder takes one
-row per triple (both scores read its one encoding, so its two heads'
-gradients are summed) and the reply encoder two.
+Each sub-batch of ``_SUB_BATCH`` triples runs forward in one
+``score_with_cache`` call per positive pair and one encoder call for
+all its negative replies, each negative scored against the query vector
+that its positive call encoded.  Within a call every GRU row
+steps in lockstep (see :func:`~.scorer._run_rows`), with the bits a row
+run alone gives.  The backward pass runs once per sub-batch, over the
+triples whose hinge is active.  Each triple's positive and negative pair
+are two rows of the head, which forms each head gradient as one product
+over the rows and reads the sentence vectors back from the MLP input
+features.  The query encoder takes one row per triple (both scores read
+its one encoding, so its two heads' gradients are summed) and the reply
+encoder two.
 
 One function, ``_backward_encoder``, packs an encoder's rows, runs
 back-propagation through time over both GRU directions and forms their
@@ -48,7 +51,7 @@ from .scorer import (
     ScoreCache,
     ScorerParams,
     TensorTree,
-    _score_reply,
+    _score_replies,
     score_with_cache,
     zero_scorer_params,
 )
@@ -57,9 +60,10 @@ from .scorer import (
 Triple = tuple[list, list, list]
 
 # Triples whose encoder backward passes run together.  Their encode
-# caches stay alive until then, so this bounds the memory training adds
-# (about 0.2 MiB per triple at H=64); 8 already amortizes most of the
-# per-step cost of the backward loop.
+# caches stay alive until then, so this bounds the memory training adds:
+# about 0.2 MiB per triple at H=64 and max_len=30 (0.18 MiB median and
+# 0.22 MiB largest over 80 sub-batches of lengths with median 12).  8
+# already amortizes most of the per-step cost of the backward loop.
 _SUB_BATCH = 8
 # Rows per weight-gradient product.  At H=64 and d=50 the largest product
 # of 96 rows, ``d_a.T @ h_prev``, is 786,432 multiply-adds.  Measured on a
@@ -107,37 +111,54 @@ def compute_gradients(
     grads = zero_scorer_params(params.embed_dim, params.hidden_size, params.mlp_size)
     emb_grad = np.zeros_like(matrix) if config.fine_tune_embeddings else None
 
-    two_h = 2 * params.hidden_size
     total = 0.0
     for start in range(0, len(batch), _SUB_BATCH):
-        rows = []  # score caches of the hinge-active triples: positive, then negative
-        for index in range(start, min(start + _SUB_BATCH, len(batch))):
-            query, pos, neg = batch[index]
-            s_pos, cache_pos = score_with_cache(query, pos, params, vocab, matrix, config.max_len)
-            s_neg, cache_neg = _score_reply(cache_pos.feats[:two_h], neg, params, vocab, matrix,
-                                            config.max_len, collect=True)
-            if not (math.isfinite(s_pos) and math.isfinite(s_neg)):
-                raise NumericalError(
-                    f"non-finite score at batch index {index}: "
-                    f"s_pos={s_pos!r} s_neg={s_neg!r}"
-                )
-            loss = margin_loss(s_pos, s_neg, config.margin)
-            total += loss
-            if loss > 0.0:
-                rows += [cache_pos, cache_neg]
-        if not rows:
-            continue
-        dq, dr = _backward_head(rows, params, grads)
-        _backward_encoder([cache.query for cache in rows[::2]], dq[::2] + dq[1::2],
-                          params.query_encoder, grads.query_encoder, matrix, emb_grad)
-        _backward_encoder([cache.reply for cache in rows], dr,
-                          params.reply_encoder, grads.reply_encoder, matrix, emb_grad)
+        # summed triple by triple, in batch order
+        total = sum(_sub_batch(batch, start, params, vocab, matrix, config, grads, emb_grad),
+                    total)
 
     gradients = Gradients(scorer=grads, embeddings=emb_grad)
     scale = 1.0 / len(batch)
     for _, arr in gradients.tensors():
         arr *= scale
     return gradients, total * scale
+
+
+def _sub_batch(batch: list[Triple], start: int, params: ScorerParams, vocab,
+               matrix: np.ndarray, config: TrainConfig, grads: ScorerParams,
+               emb_grad: np.ndarray | None) -> list[float]:
+    """Loss of each of the ``_SUB_BATCH`` triples from ``start``; adds their gradients.
+
+    Each positive pair is one ``score_with_cache`` call; the negative
+    replies are encoded in one call and scored against the query vectors
+    the positive calls encoded.  The caches die on return, before the
+    next sub-batch is encoded.
+    """
+    triples = batch[start:start + _SUB_BATCH]
+    positives = [score_with_cache(query, pos, params, vocab, matrix, config.max_len)
+                 for query, pos, _ in triples]
+    negatives = _score_replies([cache.feats[:2 * params.hidden_size] for _, cache in positives],
+                               [neg for _, _, neg in triples], params, vocab, matrix,
+                               config.max_len)
+    losses = []
+    rows = []  # score caches of the hinge-active triples: positive, then negative
+    for index, ((s_pos, cache_pos), (s_neg, cache_neg)) in enumerate(
+            zip(positives, negatives), start):
+        if not (math.isfinite(s_pos) and math.isfinite(s_neg)):
+            raise NumericalError(
+                f"non-finite score at batch index {index}: "
+                f"s_pos={s_pos!r} s_neg={s_neg!r}"
+            )
+        losses.append(margin_loss(s_pos, s_neg, config.margin))
+        if losses[-1] > 0.0:
+            rows += [cache_pos, cache_neg]
+    if rows:
+        dq, dr = _backward_head(rows, params, grads)
+        _backward_encoder([cache.query for cache in rows[::2]], dq[::2] + dq[1::2],
+                          params.query_encoder, grads.query_encoder, matrix, emb_grad)
+        _backward_encoder([cache.reply for cache in rows], dr,
+                          params.reply_encoder, grads.reply_encoder, matrix, emb_grad)
+    return losses
 
 
 def _backward_head(

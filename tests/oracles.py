@@ -8,7 +8,8 @@ these and the vectorized library code is what the oracle tests assert.
 The exceptions are :func:`loop_compute_gradients`, a frozen copy of an
 earlier numpy implementation of the scorer's backward pass,
 :func:`padded_batch_loss`, the scorer's batched forward as it was
-written with left-padded rows, :func:`listed_scorer_init`, the
+written with left-padded rows, :func:`one_row_run`, the scorer's GRU
+forward as it ran one row per call, :func:`listed_scorer_init`, the
 scorer's initializer as it was written out tensor by tensor, and
 :func:`per_field_save_checkpoint`, the checkpoint writer as it packed
 each header field with its own ``struct.pack``, and the float-table writers
@@ -607,6 +608,36 @@ def padded_batch_loss(batch, params, vocab, matrix, config):
     total = sum(max(0.0, config.margin - s_pos + s_neg)
                 for s_pos, s_neg in zip(scores[:n], scores[n:]))
     return total / n
+
+
+# ---------------------------------------------------------------------------
+# one-row forward
+#
+# A frozen copy of the scorer's GRU forward as it stood while it ran one
+# direction of one utterance per call.  The lockstep forward keeps each
+# row's products as they are here, so it must match this bit for bit.
+
+
+def one_row_run(xs, params, h, collect=False):
+    """Final (H,) state of one GRU direction over ``xs`` (T, d) from ``h`` (H,).
+
+    With ``collect``, also the (T, 4H) step record: the state entering
+    each step, the reset and update gates and the candidate (else None).
+    """
+    hidden = params.hidden_size
+    gate_in = xs @ params.w_gates.T + params.b_gates
+    cand_in = xs @ params.w_cand.T + params.b_cand
+    u_gates, u_cand = params.u_gates.T, params.u_cand.T
+    steps = np.empty((len(xs), 4 * hidden)) if collect else None
+    for t in range(len(xs)):
+        gates = 0.5 * (1.0 + np.tanh(0.5 * (gate_in[t] + h @ u_gates)))
+        reset, update = gates[:hidden], gates[hidden:]
+        cand = np.tanh(cand_in[t] + (reset * h) @ u_cand)
+        if collect:
+            step = steps[t]
+            step[:hidden], step[hidden:3 * hidden], step[3 * hidden:] = h, gates, cand
+        h = (1.0 - update) * h + update * cand
+    return h, steps
 
 
 # ---------------------------------------------------------------------------

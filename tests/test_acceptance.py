@@ -118,13 +118,13 @@ def test_criterion_02_forward_pass_matches_scalar_oracle():
             x.tolist(), h_prev.tolist(), *_gru_params_as_lists(direction)
         )
         np.testing.assert_allclose(
-            _run_rows(np.reshape(x, (1, -1)), direction, h_prev)[0], expected,
+            _run_rows([(np.reshape(x, (1, -1)), direction, h_prev)])[0][0], expected,
             atol=1e-10, rtol=0,
         )
 
         utterance = _utterance(rng, 8, 6)
         np.testing.assert_allclose(
-            _encode(utterance, params.query_encoder, vocab, matrix, max_len=6)[0],
+            _encode([utterance], [params.query_encoder], vocab, matrix, max_len=6)[0][0],
             scalar_encode(utterance, params.query_encoder, vocab, matrix, max_len=6),
             atol=1e-10, rtol=0,
         )

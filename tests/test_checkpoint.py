@@ -311,6 +311,9 @@ class TestVocabCompatibility:
         message = str(err.value)
         assert f"{stored:#018x}" in message
         assert f"{other:#018x}" in message
+        assert message.endswith(
+            "; to load it anyway, pass expected_vocab_hash=None "
+            "(on the command line: score --allow-vocab-mismatch)")
 
     def test_no_expectation_no_check(self, tmp_path):
         params, config, vocab = _fresh(6)

@@ -288,7 +288,8 @@ class TestScore:
             "score", "--data", pipeline["annotated"], "--embeddings", other_emb,
             "--checkpoint", pipeline["ckpt"], "--out", str(tmp_path / "x.tsv"),
         ]
-        _refused(args, 5, tmp_path, "other.txt")
+        line = _refused(args, 5, tmp_path, "other.txt")
+        assert line.endswith("(on the command line: score --allow-vocab-mismatch)")
         assert main(args + ["--allow-vocab-mismatch"]) == 0
 
     def test_dim_mismatch_exit_5(self, pipeline, tmp_path):

@@ -173,20 +173,23 @@ class TestComputeGradients:
             compute_gradients([], params, vocab, matrix, config)
 
     def test_each_query_is_encoded_once(self, monkeypatch):
-        """One query encode per triple: the negative reuses the positive's."""
+        """One query encode per triple: the negative reuses the positive's.
+
+        Counts the utterances each encoder reads, over every encode call.
+        """
         rng, vocab, matrix, params, config, _ = self._setup(60)
         batch = [_random_triple(rng) for _ in range(_SUB_BATCH + 3)]
-        encoders = []
+        rows = []
         encode = scorer._encode
 
-        def counting(utterance, encoder, *args, **kwargs):
-            encoders.append(encoder)
-            return encode(utterance, encoder, *args, **kwargs)
+        def counting(utterances, encoders, *args, **kwargs):
+            rows.extend(encoders)
+            return encode(utterances, encoders, *args, **kwargs)
 
         monkeypatch.setattr(scorer, "_encode", counting)
         compute_gradients(batch, params, vocab, matrix, config)
-        assert sum(e is params.query_encoder for e in encoders) == len(batch)
-        assert sum(e is params.reply_encoder for e in encoders) == 2 * len(batch)
+        assert sum(e is params.query_encoder for e in rows) == len(batch)
+        assert sum(e is params.reply_encoder for e in rows) == 2 * len(batch)
 
     def test_scores_equal_unreferenced_score(self, monkeypatch):
         """Both scores of every triple are bitwise the public scorer's."""

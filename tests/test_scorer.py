@@ -16,6 +16,16 @@ from ruber.unreferenced.scorer import (
 )
 
 
+def _run_one(xs, params, h):
+    """Final state of one row run alone."""
+    return _run_rows([(xs, params, h)])[0][0]
+
+
+def _encode_one(utterance, encoder, vocab, matrix, max_len):
+    """Sentence vector of one utterance encoded alone."""
+    return _encode([utterance], [encoder], vocab, matrix, max_len)[0][0]
+
+
 def _zero_gru(hidden=3, dim=4):
     return GruParams(
         np.zeros((2 * hidden, dim)), np.zeros((2 * hidden, hidden)),
@@ -50,11 +60,11 @@ class TestSigmoid:
 class TestGruStep:
     def test_zero_params_halve_state(self):
         h_prev = np.array([0.2, -0.4, 1.0])
-        out = _run_rows(np.reshape(np.ones(4), (1, -1)), _zero_gru(), h_prev)[0]
+        out = _run_one(np.reshape(np.ones(4), (1, -1)), _zero_gru(), h_prev)
         assert_allclose(out, 0.5 * h_prev, atol=0)
 
     def test_zero_params_zero_state(self):
-        out = _run_rows(np.reshape(np.ones(4), (1, -1)), _zero_gru(), np.zeros(3))[0]
+        out = _run_one(np.reshape(np.ones(4), (1, -1)), _zero_gru(), np.zeros(3))
         assert_allclose(out, np.zeros(3), atol=0)
 
     def test_matches_scalar_oracle(self):
@@ -63,7 +73,7 @@ class TestGruStep:
             params = _random_gru(rng, 3, 4)
             x = rng.normal(0, 1, 4)
             h = rng.normal(0, 1, 3)
-            got = _run_rows(np.reshape(x, (1, -1)), params, h)[0]
+            got = _run_one(np.reshape(x, (1, -1)), params, h)
             want = oracles.scalar_gru_step(
                 x.tolist(), h.tolist(), *oracles._gru_params_as_lists(params)
             )
@@ -71,8 +81,7 @@ class TestGruStep:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            _run_rows(np.reshape(np.ones(5), (1, -1)), _zero_gru(hidden=3, dim=4),
-                      np.zeros(3))[0]
+            _run_one(np.reshape(np.ones(5), (1, -1)), _zero_gru(hidden=3, dim=4), np.zeros(3))
 
 
 class TestEncode:
@@ -80,7 +89,7 @@ class TestEncode:
         rng = np.random.default_rng(32)
         vocab, matrix = toy_vocab_matrix(rng)
         params = zero_scorer_params(4, 3, 5)
-        out = _encode(["t0", "t1"], params.query_encoder, vocab, matrix, TrainConfig.max_len)[0]
+        out = _encode_one(["t0", "t1"], params.query_encoder, vocab, matrix, TrainConfig.max_len)
         assert_allclose(out, np.zeros(6), atol=0)
 
     def test_single_token_with_tied_directions(self):
@@ -89,7 +98,7 @@ class TestEncode:
         direction = _random_gru(rng, 3, 4)
         from ruber.unreferenced.scorer import BiGruEncoder
         encoder = BiGruEncoder(direction, direction)
-        out = _encode(["t2"], encoder, vocab, matrix, TrainConfig.max_len)[0]
+        out = _encode_one(["t2"], encoder, vocab, matrix, TrainConfig.max_len)
         assert_allclose(out[:3], out[3:], atol=0)
 
     def test_matches_scalar_oracle(self):
@@ -97,7 +106,7 @@ class TestEncode:
         vocab, matrix = toy_vocab_matrix(rng, n_tokens=8, dim=3)
         params = random_scorer_params(3, 2, 4, rng)
         utterance = ["t0", "t3", "t7"]
-        got = _encode(utterance, params.query_encoder, vocab, matrix, TrainConfig.max_len)[0]
+        got = _encode_one(utterance, params.query_encoder, vocab, matrix, TrainConfig.max_len)
         want = oracles.scalar_encode(utterance, params.query_encoder, vocab, matrix)
         assert_allclose(got, want, atol=1e-12)
 
@@ -106,8 +115,8 @@ class TestEncode:
         vocab, matrix = toy_vocab_matrix(rng)
         params = random_scorer_params(4, 3, 5, rng)
         long = [f"t{i % 8}" for i in range(12)]
-        truncated = _encode(long, params.query_encoder, vocab, matrix, max_len=4)[0]
-        explicit = _encode(long[:4], params.query_encoder, vocab, matrix, max_len=4)[0]
+        truncated = _encode_one(long, params.query_encoder, vocab, matrix, max_len=4)
+        explicit = _encode_one(long[:4], params.query_encoder, vocab, matrix, max_len=4)
         assert_allclose(truncated, explicit, atol=0)
 
     def test_empty_utterance_rejected(self):
@@ -115,14 +124,14 @@ class TestEncode:
         vocab, matrix = toy_vocab_matrix(rng)
         params = zero_scorer_params(4, 3, 5)
         with pytest.raises(ValueError):
-            _encode([], params.query_encoder, vocab, matrix, TrainConfig.max_len)[0]
+            _encode_one([], params.query_encoder, vocab, matrix, TrainConfig.max_len)
 
     def test_max_len_below_one_rejected(self):
         rng = np.random.default_rng(37)
         vocab, matrix = toy_vocab_matrix(rng)
         params = zero_scorer_params(4, 3, 5)
         with pytest.raises(ValueError):
-            _encode(["t0"], params.query_encoder, vocab, matrix, max_len=0)[0]
+            _encode_one(["t0"], params.query_encoder, vocab, matrix, max_len=0)
 
 
 class TestUnreferencedScore:
@@ -196,6 +205,64 @@ class TestInitScorerParams:
             init_scorer_params(0, 3, 5, np.random.default_rng(0))
 
 
+def _assert_match_one_row_runs(rows):
+    """States and step records of one lockstep call equal, bit for bit, the
+    frozen one-row forward run on each row alone."""
+    states, records = _run_rows(rows, collect=True)
+    assert np.array_equal(_run_rows(rows)[0], states)
+    assert states.shape == (len(rows), rows[0][1].hidden_size)
+    for (xs, params, h), state, record in zip(rows, states, records):
+        want_state, want_record = oracles.one_row_run(xs, params, h, collect=True)
+        assert np.array_equal(state, want_state)
+        assert record.shape == want_record.shape and np.array_equal(record, want_record)
+
+
+class TestLockstepRows:
+    """All rows of one call step together with the one-row bits."""
+
+    @pytest.mark.parametrize("lengths", [[5, 1, 3, 7, 1], [4, 4, 4], [6], [1], [1, 1, 2]])
+    def test_lengths(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        direction = _random_gru(rng, 3, 4)
+        _assert_match_one_row_runs(
+            [(rng.normal(0, 1, (n, 4)), direction, np.zeros(3)) for n in lengths])
+
+    def test_four_params_and_non_zero_start_states(self):
+        rng = np.random.default_rng(44)
+        rows = [(rng.normal(0, 1, (n, 50)), _random_gru(rng, 64, 50, scale=0.1),
+                 rng.normal(0, 1, 64)) for n in (9, 2, 30, 9)]
+        _assert_match_one_row_runs(rows)
+
+    def test_repeated_rows(self):
+        rng = np.random.default_rng(45)
+        row = (rng.normal(0, 1, (4, 4)), _random_gru(rng, 3, 4), rng.normal(0, 1, 3))
+        other = (rng.normal(0, 1, (6, 4)), row[1], np.zeros(3))
+        _assert_match_one_row_runs([row, other, row, row])
+
+    def test_reversed_inputs(self):
+        rng = np.random.default_rng(46)
+        xs = rng.normal(0, 1, (7, 4))
+        direction = _random_gru(rng, 3, 4)
+        _assert_match_one_row_runs([(xs[::-1], direction, np.zeros(3)),
+                                    (xs[2:][::-1], direction, np.zeros(3))])
+
+    def test_encode_truncates_each_utterance_at_max_len(self):
+        rng = np.random.default_rng(47)
+        vocab, matrix = toy_vocab_matrix(rng, n_tokens=8, dim=4)
+        params = random_scorer_params(4, 3, 5, rng)
+        utterances = [[f"t{i % 8}" for i in range(12)], ["t1", "t2"], ["t3"] * 5]
+        encoders = [params.query_encoder, params.reply_encoder, params.reply_encoder]
+        vecs, caches = _encode(utterances, encoders, vocab, matrix, max_len=4, collect=True)
+        for utterance, encoder, vec, cache in zip(utterances, encoders, vecs, caches):
+            ids = [vocab.id_of(tok) for tok in utterance[:4]]
+            xs, h0 = matrix[ids], np.zeros(3)
+            h_fwd, fwd = oracles.one_row_run(xs, encoder.forward, h0, collect=True)
+            h_bwd, bwd = oracles.one_row_run(xs[::-1], encoder.backward, h0, collect=True)
+            assert cache.ids == ids
+            assert np.array_equal(vec, np.concatenate([h_fwd, h_bwd]))
+            assert np.array_equal(cache.fwd, fwd) and np.array_equal(cache.bwd, bwd)
+
+
 class TestPaddedRows:
     """The frozen padded forward: rows of unequal length encoded together,
     left-padded to the longest, against the one-row scorer."""
@@ -208,7 +275,7 @@ class TestPaddedRows:
                 ["t5", "t0", "t2", "t2", "t1", "t3", "t4"]]
         vecs = oracles.padded_encode(rows, params.reply_encoder, vocab, matrix, max_len=6)
         for row, vec in zip(rows, vecs):
-            want = _encode(row, params.reply_encoder, vocab, matrix, max_len=6)[0]
+            want = _encode_one(row, params.reply_encoder, vocab, matrix, max_len=6)
             assert np.max(np.abs(vec - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     def test_state_is_zero_before_a_row_starts_and_frozen_after_it_ends(self):
@@ -227,10 +294,9 @@ class TestPaddedRows:
         forward = states(xs, pad)
         for t in range(3):
             assert np.all(forward[t] == 0.0) and not np.any(np.signbit(forward[t]))
-        assert_allclose(forward[-1], _run_rows(short, direction, np.zeros(3))[0], atol=1e-12)
+        assert_allclose(forward[-1], _run_one(short, direction, np.zeros(3)), atol=1e-12)
 
         backward = states(xs[::-1], pad[::-1])
         for t in range(2, 5):
             assert np.array_equal(backward[t], backward[1])
-        assert_allclose(backward[1], _run_rows(short[::-1], direction, np.zeros(3))[0],
-                        atol=1e-12)
+        assert_allclose(backward[1], _run_one(short[::-1], direction, np.zeros(3)), atol=1e-12)
